@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -61,6 +62,32 @@ def _jobs_arg(text: str) -> int:
         return resolve_jobs(int(text))
     except ValueError:
         return resolve_jobs(text)
+
+
+def _check_outputs(*outputs: tuple[str, Optional[str]]) -> int:
+    """Refuse output paths that cannot be written, before any work runs.
+
+    ``outputs`` are ``(flag, path)`` pairs; unset paths are skipped.
+    Returns 0 when every path looks writable, else prints one line naming
+    the first bad flag and returns 2 (the argparse usage-error status).
+    """
+    for flag, path in outputs:
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            why = "is a directory"
+        elif not os.path.isdir(parent):
+            why = f"directory {parent} does not exist"
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            why = f"directory {parent} is not writable"
+        elif os.path.exists(path) and not os.access(path, os.W_OK):
+            why = "file is not writable"
+        else:
+            continue
+        print(f"repro-bench: error: {flag} {path}: {why}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _analyze_main(argv: Sequence[str]) -> int:
@@ -133,6 +160,8 @@ def _diff_main(argv: Sequence[str]) -> int:
     ap.add_argument("--json-out", metavar="PATH", default=None,
                     help="also dump the structured diff to PATH")
     args = ap.parse_args(argv)
+    if _check_outputs(("--json-out", args.json_out)):
+        return 2
     try:
         report = diff_files(args.a, args.b)
     except ValueError as exc:
@@ -297,6 +326,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "Chrome-trace JSON (load in chrome://tracing or ui.perfetto.dev)",
     )
     args = ap.parse_args(argv)
+    if _check_outputs(
+        ("--json", args.json),
+        ("--metrics-out", args.metrics_out),
+        ("--trace-out", args.trace_out),
+    ):
+        return 2
     collected: dict[str, Any] = {}
 
     targets = list(args.targets)

@@ -28,6 +28,17 @@ Cores join the leap in either of two provable states:
   samples), after which the core is in the asleep state and its
   remaining cycles batch like everyone else's.
 
+When it is attempted: the scheduler arms the controller each time an
+idle thread re-enters its sleeping steady state, and the engine offers
+an armed leap at every wheel-bucket boundary (the heap core: before
+every event).  An attempt that gets as far as computing its bound — the
+next external event, ``t_stop`` — records it as ``retry_at`` whether it
+leaped or fell short, and no new attempt starts before that event has
+fired; the wheel then leaves its bucket drain to retry right after it
+instead of waiting for the next boundary.  Only an attempt that cannot
+plan a single core (or finds no bound at all) cools down, for
+``cool_ns`` of virtual time.
+
 The contract is the same one the summary fast path and the wheel core
 shipped under: **bit-identical**.  Leap-on and leap-off runs produce the
 same fingerprints, the same metrics snapshots, the same engine ``fired``
@@ -92,7 +103,7 @@ class QuiescenceLeap:
         "armed",
         "min_cycles",
         "cool_ns",
-        "cool_until",
+        "retry_at",
         "leaps",
         "cycles_elided",
     )
@@ -105,13 +116,20 @@ class QuiescenceLeap:
         #: smallest total cycle count worth a leap: below this the
         #: attempt's own bookkeeping costs more host time than it saves
         self.min_cycles = 2
-        #: failed-attempt cooldown (virtual ns): a failed attempt costs
-        #: an O(cores) eligibility scan, and the arm hint re-fires every
-        #: probe cycle on every core — without a cooldown a busy phase
-        #: pays that scan per cycle.  One wheel bucket's worth of virtual
-        #: time bounds failures to the wheel's own boundary cadence.
+        #: eligibility-failure cooldown (virtual ns): an attempt that finds
+        #: no core to plan costs an O(cores) scan and learns no bound, and
+        #: the arm hint re-fires every probe cycle on every core — without
+        #: a cooldown a busy phase pays that scan per cycle.  One wheel
+        #: bucket's worth of virtual time caps those failures at the
+        #: bucket cadence.  Attempts that reach the bound computation do
+        #: not cool down: they wait for the bounding event instead.
         self.cool_ns = 4096
-        self.cool_until = 0
+        #: earliest virtual instant worth another attempt: the bound
+        #: (``t_stop``) of the last attempt that computed one, or the end
+        #: of an eligibility-failure cooldown.  ``attempt`` returns at
+        #: once before it, and the wheel leaves its bucket drain to retry
+        #: as soon as the clock moves past an instant at or after it.
+        self.retry_at = 0
         # Host-side diagnostics only — deliberately NOT registered in any
         # metrics registry, so snapshots stay identical leap-on/leap-off.
         self.leaps = 0
@@ -127,12 +145,11 @@ class QuiescenceLeap:
         """
         self.armed = False
         now = self.engine.now
-        if now < self.cool_until:
+        if now < self.retry_at:
             return False
-        if self._attempt(hi):
-            return True
-        self.cool_until = now + self.cool_ns
-        return False
+        # cool down unless _attempt gets as far as recording a bound
+        self.retry_at = now + self.cool_ns
+        return self._attempt(hi)
 
     def _attempt(self, hi: Optional[int]) -> bool:
         sched = self.sched
@@ -246,6 +263,12 @@ class QuiescenceLeap:
             # no external event and no bound: the slow path would spin
             # these carriers forever — preserve that behaviour
             return False
+        # Success or not, no attempt can get past ``t_stop`` before the
+        # event there has fired: retry right after it, not sooner.  A
+        # bound at the current instant has not fired yet either, so it
+        # defers the retry to the next instant.
+        now = engine.now
+        self.retry_at = t_stop if t_stop > now else now + 1
 
         # -- commit set ------------------------------------------------
         # Every planned fire strictly before t_stop commits; nothing
@@ -285,35 +308,51 @@ class QuiescenceLeap:
         pend: list = [None] * ncom  # (wake, adv2 time, seq) if it exits mid-cycle
         wakes = [0] * ncom
         adv2s = [0] * ncom
-        pops = 0
         now_final = engine.now
-        # The quiescent stream is periodic: every cycle length the same
-        # 4·ncores fires repeat, shifted by L in time and 4·ncores in
-        # seq (same-instant cohort order is stable because each wake
-        # carrier's seq is allocated at the previous period's matching
-        # slot).  Once two consecutive blocks match, the whole remaining
-        # middle is a uniform shift of the pending heap — O(cores)
-        # instead of O(cycles) — leaving the last few periods to replay
-        # explicitly (the terminal survivor/pending decisions happen
-        # there).  Per-core skew breaks the common cycle length, so
-        # those (rare, fault-run) leaps stay on the explicit walk;
-        # identity holds either way.
+        # The quiescent stream is periodic: every cycle length ``cl0``
+        # the same 4·ncores fires repeat, shifted by ``cl0`` in time and
+        # 4·ncores in seq (same-instant cohort order is stable because
+        # each wake carrier's seq is allocated at the previous period's
+        # matching slot).  The merge is a deterministic function of its
+        # pending heap until a terminal push, so once the heap equals
+        # its state one period earlier, shifted, the whole remaining
+        # middle is a uniform shift of the heap — O(cores) instead of
+        # O(cycles).  The heap is compared at period spacing (4·ncores
+        # seqs) from the step that consumed the last planned carrier
+        # (before it, entries still carry the engine's seqs).  Per-core
+        # skew breaks the common cycle length, so those (rare, fault-run)
+        # leaps stay on the explicit walk; identity holds either way.
         n4 = 4 * ncom
         cl0 = committed[0][5] + period
-        ring: list = [None] * (2 * n4)
-        shifted = any(e[5] != committed[0][5] for e in committed)
+        periodic = all(e[5] == committed[0][5] for e in committed)
+        nseq0 = nseq
+        fresh = ncom  # planned carriers not yet popped
+        check = 0  # engine seq of the next periodicity check
+        snap = None  # sorted heap at the previous check
         terminal = False
         while merge:
-            t, _seq, kind, i = heappop(merge)
+            t, s, kind, i = heappop(merge)
             now_final = t
+            # A wake's dispatch and a dispatch's resume are posted at the
+            # same instant; when no other entry waits at that instant,
+            # they fire straight after (their seq is the newest), so the
+            # step runs on without a heap round trip.
             if kind == _WAKE:
                 wakes[i] += 1
                 last_rq[i] = rr
                 rr += 1
-                heappush(merge, (t, nseq, _DISPATCH, i))
-            elif kind == _DISPATCH:
-                heappush(merge, (t, nseq, _ADV1, i))
-            elif kind == _ADV1:
+                if merge and merge[0][0] == t:
+                    heappush(merge, (t, nseq, _DISPATCH, i))
+                else:
+                    nseq += 1
+                    kind = _DISPATCH
+            if kind == _DISPATCH:
+                if merge and merge[0][0] == t:
+                    heappush(merge, (t, nseq, _ADV1, i))
+                else:
+                    nseq += 1
+                    kind = _ADV1
+            if kind == _ADV1:
                 ta = t + committed[i][5]
                 if ta < t_stop:
                     heappush(merge, (ta, nseq, _ADV2, i))
@@ -322,7 +361,7 @@ class QuiescenceLeap:
                     # stays pending and the core exits mid-cycle
                     pend[i] = (t, ta, nseq)
                     terminal = True
-            else:  # _ADV2: cycle complete; arm the next wake
+            elif kind == _ADV2:  # cycle complete; arm the next wake
                 adv2s[i] += 1
                 last_adv2[i] = t
                 nt = t + period
@@ -332,35 +371,44 @@ class QuiescenceLeap:
                     survivor[i] = (nt, nseq)
                     terminal = True
             nseq += 1
-            if shifted:
+            if not periodic:
                 continue
-            ring[pops % (2 * n4)] = (t, kind, i)
-            pops += 1
-            if terminal or pops < 2 * n4 or pops % n4:
+            if s < nseq0:
+                fresh -= 1
+                if not fresh:
+                    check = nseq
+            if fresh or terminal or nseq < check:
                 continue
-            base = pops - 2 * n4
-            for j in range(n4):
-                ea = ring[(base + j) % (2 * n4)]
-                eb = ring[(base + n4 + j) % (2 * n4)]
-                if ea[1] != eb[1] or ea[2] != eb[2] or eb[0] - ea[0] != cl0:
-                    break
-            else:
-                # two identical blocks: jump all but the last ~3 periods
-                # (any cl0-periodic stream has exactly one wake and one
-                # completion per core in any whole-period span, so the
-                # per-core tallies advance uniformly)
-                rem = (t_stop - t) // cl0 - 3
-                shifted = True
-                if rem > 0:
-                    dt = rem * cl0
-                    ds = rem * n4
-                    # uniform shifts preserve heap order — no re-heapify
-                    merge = [(mt + dt, ms + ds, mk, mi) for mt, ms, mk, mi in merge]
-                    nseq += ds
-                    rr += rem * ncom
-                    for x in range(ncom):
-                        wakes[x] += rem
-                        adv2s[x] += rem
+            state = sorted(merge)
+            if snap is None or nseq != check or any(
+                b[0] - a[0] != cl0 or b[1] - a[1] != n4 or b[2] != a[2] or b[3] != a[3]
+                for a, b in zip(snap, state)
+            ):
+                snap = state
+                check = nseq + n4
+                continue
+            # Periodic: jump whole periods while every shifted entry
+            # stays before t_stop.  Every push in the skipped span is at
+            # or before its core's shifted entry, so none is terminal;
+            # the explicit tail then makes every terminal decision.  Any
+            # span of whole periods holds exactly one wake and one
+            # completion per core, so the per-core tallies and the last
+            # wake's run-queue seq advance uniformly (a core can finish
+            # in the tail without waking again; its last completion, in
+            # contrast, is always the tail's terminal one).
+            periodic = False
+            rem = (t_stop - 1 - state[-1][0]) // cl0
+            if rem > 0:
+                dt = rem * cl0
+                ds = rem * n4
+                # uniform shifts preserve heap order — no re-heapify
+                merge = [(mt + dt, ms + ds, mk, mi) for mt, ms, mk, mi in merge]
+                nseq += ds
+                rr += rem * ncom
+                for x in range(ncom):
+                    wakes[x] += rem
+                    adv2s[x] += rem
+                    last_rq[x] += rem * ncom
         if sum(wakes) + sum(adv2s) < 2 * self.min_cycles:
             # not worth the attempt bookkeeping — and nothing has been
             # mutated yet (the merge is pure), so bailing is free

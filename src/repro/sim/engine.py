@@ -605,15 +605,20 @@ class WheelEngine(Engine):
             while True:
                 if budget is not None and budget <= 0:
                     return self.now
-                # Quiescence leap: consulted between buckets (the idle
-                # steady state crosses a bucket boundary within one wheel
-                # turn, so the hint is seen promptly) and only on
+                # Quiescence leap: consulted between buckets, and only on
                 # unbudgeted runs — a leap fires many events per call,
                 # which a max_events bound must count one at a time.
+                # ``retry`` (None without a controller) is the leap's
+                # ``retry_at``: once the clock moves past an instant at or
+                # after it, the drain below hands the bucket back here
+                # for a fresh attempt instead of finishing it.
                 lp = self.leap
-                if lp is not None and lp.armed and budget is None and not nowq:
-                    if lp.attempt(hi):
+                if lp is not None and budget is None:
+                    if lp.armed and not nowq and lp.attempt(hi):
                         cur = self.now
+                    retry = lp.retry_at
+                else:
+                    retry = None
                 if not bidx:
                     if over:
                         # wheel empty: jump the window to the overflow head
@@ -729,6 +734,7 @@ class WheelEngine(Engine):
                         nowq.clear()
                         continue  # instant callbacks may have refilled batch
                     if not batch:
+                        del bidx[0]
                         break
                     if careful:
                         # mirror the heap core's bounded loop: skim dead
@@ -753,6 +759,12 @@ class WheelEngine(Engine):
                     t, s, fn, a = heappop(batch)
                     if fn is not None:
                         if t != cur:
+                            if retry is not None and cur >= retry and lp.armed:
+                                # the leap's bounding event has fired:
+                                # leave the bucket in place (nowq is
+                                # empty here) and retry from the top
+                                heappush(batch, (t, s, fn, a))
+                                break
                             self.now = cur = t
                         nfired += 1
                         ndone += 1
@@ -761,6 +773,9 @@ class WheelEngine(Engine):
                         ev = a
                         if ev.alive:
                             if t != cur:
+                                if retry is not None and cur >= retry and lp.armed:
+                                    heappush(batch, (t, s, fn, a))
+                                    break
                                 self.now = cur = t
                             nfired += 1
                             ndone += 1
@@ -778,7 +793,6 @@ class WheelEngine(Engine):
                                 pool.append(ev)
                 self._aend = -1
                 self._abuc = None
-                del bidx[0]
         finally:
             self.fired += nfired
             if ndone:

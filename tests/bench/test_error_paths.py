@@ -47,3 +47,49 @@ def test_cli_rejects_unknown_target(capsys):
 
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+@pytest.mark.parametrize("flag", ["--json", "--metrics-out", "--trace-out"])
+def test_cli_rejects_missing_output_dir_before_running(flag, tmp_path, capsys):
+    """A bad output path fails at once with one line naming the flag —
+    not with a traceback after the whole run."""
+    from repro.bench.cli import main
+
+    bad = str(tmp_path / "missing" / "out.json")
+    assert main(["table1", "--reps", "10", flag, bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no target ran
+    assert err.splitlines() == [
+        f"repro-bench: error: {flag} {bad}: directory "
+        f"{tmp_path / 'missing'} does not exist"
+    ]
+
+
+def test_cli_rejects_directory_as_output(tmp_path, capsys):
+    from repro.bench.cli import main
+
+    assert main(["table1", "--reps", "10", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"repro-bench: error: --json {tmp_path}: is a directory"
+
+
+def test_diff_rejects_missing_json_out_dir(tmp_path, capsys):
+    import json
+
+    from repro.bench.cli import main
+
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"metrics": {"a.b": 1}}))
+    bad = str(tmp_path / "missing" / "diff.json")
+    assert main(["diff", str(doc), str(doc), "--json-out", bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"repro-bench: error: --json-out {bad}: directory "
+        f"{tmp_path / 'missing'} does not exist"
+    ]
+    # the same call with a writable path succeeds
+    good = tmp_path / "diff.json"
+    assert main(["diff", str(doc), str(doc), "--json-out", str(good)]) == 0
+    assert json.loads(good.read_text()) is not None
