@@ -15,6 +15,12 @@ discrete-event simulator (see DESIGN.md for the substitution rationale):
   NewMadeleine, Mad-MPI and the MVAPICH/OpenMPI-like baselines);
 * :mod:`repro.bench` — harnesses regenerating every table and figure.
 
+``import repro`` loads only the node substrate.  The communication stack,
+PIO-I/O and the offline tooling (trace analysis and rendering, the
+figure harnesses, the MPI baselines) load on first access: ``repro.Cluster``
+works as before, but a node-only run never compiles them (docs/PERFORMANCE.md,
+"Cold start").
+
 Quickstart::
 
     from repro import Engine, Scheduler, PIOMan, LTask, CpuSet, borderline
@@ -56,13 +62,20 @@ from repro.core import (
     TaskState,
     piom_wait,
 )
-from repro.cluster import Cluster, Node
-from repro.nmad import NMad
-from repro.obs import MetricsRegistry, chrome_trace, write_chrome_trace
-from repro.pioio import BlockDevice, PIOIo
-from repro.mpi import MadMPI, MVAPICHLike, OpenMPILike
+from repro.obs import MetricsRegistry
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+# The communication stack, PIO-I/O and the trace exporter load on first
+# use (see repro._lazy), so a node-only run never compiles them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cluster": ("Cluster", "Node"),
+    "nmad": ("NMad",),
+    "mpi": ("MadMPI", "MVAPICHLike", "OpenMPILike"),
+    "obs": ("chrome_trace", "write_chrome_trace"),
+    "pioio": ("BlockDevice", "PIOIo"),
+}, submodules=("faults", "net", "par"))
 
 __all__ = [
     "Engine", "Rng", "Tracer", "NS", "US", "MS", "fmt_ns",

@@ -6,15 +6,6 @@ from repro.bench.task_microbench import (
     measure_queue,
     run_task_microbench,
 )
-from repro.bench.latency import LatencyPoint, LatencySeries, run_fig4, run_latency_once
-from repro.bench.overlap import (
-    OverlapPoint,
-    OverlapSeries,
-    PLACEMENTS,
-    compute_grid,
-    run_overlap_figure,
-    run_overlap_once,
-)
 from repro.bench.paper_targets import (
     ANOMALIES,
     PAPER_TABLES,
@@ -22,12 +13,21 @@ from repro.bench.paper_targets import (
     TABLE2_KWAK,
     targets_for,
 )
-from repro.bench.reporting import (
-    format_latency,
-    format_microbench,
-    format_overlap,
-    sparkline,
-)
+from repro._lazy import lazy_exports
+
+# the figure harnesses and formatters load on first use (see repro._lazy)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "latency": ("LatencyPoint", "LatencySeries", "run_fig4", "run_latency_once"),
+    "overlap": (
+        "OverlapPoint",
+        "OverlapSeries",
+        "PLACEMENTS",
+        "compute_grid",
+        "run_overlap_figure",
+        "run_overlap_once",
+    ),
+    "reporting": ("format_latency", "format_microbench", "format_overlap", "sparkline"),
+})
 
 __all__ = [
     "MicrobenchResult",

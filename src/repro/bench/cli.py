@@ -54,7 +54,7 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _jobs_arg(text: str) -> int:
+def jobs_arg(text: str) -> int:
     """``--jobs`` values: a positive count, or 0/'auto' = every CPU."""
     from repro.par import resolve_jobs
 
@@ -64,7 +64,7 @@ def _jobs_arg(text: str) -> int:
         return resolve_jobs(text)
 
 
-def _check_outputs(*outputs: tuple[str, Optional[str]]) -> int:
+def check_outputs(*outputs: tuple[str, Optional[str]]) -> int:
     """Refuse output paths that cannot be written, before any work runs.
 
     ``outputs`` are ``(flag, path)`` pairs; unset paths are skipped.
@@ -119,6 +119,11 @@ def _analyze_main(argv: Sequence[str]) -> int:
     ap.add_argument("--critpath-out", metavar="PATH", default=None,
                     help="dump the critical path as JSON to PATH")
     args = ap.parse_args(argv)
+    if check_outputs(
+        ("--analysis-out", args.analysis_out),
+        ("--critpath-out", args.critpath_out),
+    ):
+        return 2
     analysis = analyze_trace_file(
         args.trace, ncores=args.cores, top_n=args.top, scenario=args.scenario
     )
@@ -160,7 +165,7 @@ def _diff_main(argv: Sequence[str]) -> int:
     ap.add_argument("--json-out", metavar="PATH", default=None,
                     help="also dump the structured diff to PATH")
     args = ap.parse_args(argv)
-    if _check_outputs(("--json-out", args.json_out)):
+    if check_outputs(("--json-out", args.json_out)):
         return 2
     try:
         report = diff_files(args.a, args.b)
@@ -302,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ap.add_argument("--points", type=int, default=9, help="overlap points per curve")
     ap.add_argument("--iters", type=int, default=4, help="fig4 iterations per thread")
     ap.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N",
+        "--jobs", type=jobs_arg, default=1, metavar="N",
         help="fan independent targets out over N worker processes "
         "('auto' or 0 = every CPU; default 1 = in-process serial; "
         "results are bit-identical either way)",
@@ -326,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "Chrome-trace JSON (load in chrome://tracing or ui.perfetto.dev)",
     )
     args = ap.parse_args(argv)
-    if _check_outputs(
+    if check_outputs(
         ("--json", args.json),
         ("--metrics-out", args.metrics_out),
         ("--trace-out", args.trace_out),

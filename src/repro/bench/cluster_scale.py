@@ -170,6 +170,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``cluster-scale`` subcommand (called from :mod:`repro.bench.cli`)."""
     import argparse
 
+    from repro.bench.cli import check_outputs
+
     ap = argparse.ArgumentParser(
         prog="repro-bench cluster-scale",
         description="Sharded cluster scaling curve: run one generated "
@@ -195,6 +197,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--timeout", type=float, default=1800.0, metavar="S",
                     help="per-window reply timeout per shard (default 1800)")
     args = ap.parse_args(argv)
+    out = None if args.out == "-" else args.out
+    if check_outputs(("--out", out)):
+        return 2
     counts = sorted({1} | {int(x) for x in args.shards.split(",") if x})
     spec = default_spec(nnodes=args.nodes, seed=args.seed)
     if args.requests is not None:
@@ -213,8 +218,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"cluster-scale FAILED: {exc}", file=sys.stderr)
         return 1
     print(format_cluster_scale(report))
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             json.dump(report, fh, indent=1)
-        print(f"\nwrote {args.out}")
+        print(f"\nwrote {out}")
     return 0

@@ -1148,19 +1148,11 @@ def format_profile(doc: dict, *, show: int = 5) -> str:
     return "\n".join(lines)
 
 
-def _jobs_arg(text: str) -> int:
-    """``--jobs`` values: a positive count, or 0/'auto' = every CPU."""
-    from repro.par import resolve_jobs
-
-    try:
-        return resolve_jobs(int(text))
-    except ValueError:
-        return resolve_jobs(text)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """The ``perf`` subcommand body (called from :mod:`repro.bench.cli`)."""
     import argparse
+
+    from repro.bench.cli import check_outputs, jobs_arg
 
     ap = argparse.ArgumentParser(
         prog="repro-bench perf",
@@ -1172,7 +1164,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="reduced matrix for CI smoke runs")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
+    ap.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
                     help="run the scenario matrix over N worker processes "
                     "('auto' or 0 = every CPU; default 1 = serial; virtual "
                     "outcomes are identical either way)")
@@ -1198,6 +1190,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="functions kept per scenario in the --profile "
                     "artifact (default 25)")
     args = ap.parse_args(argv)
+    # each mode writes one report, after the matrix: check it up front
+    if check_outputs(
+        ("--profile", args.profile),
+        ("--parallel-report", args.parallel_report),
+        ("--out", None if args.profile or args.parallel_report else args.out),
+    ):
+        return 2
     if args.profile:
         doc = run_profiled(
             quick=args.quick, seed=args.seed, top=args.profile_top

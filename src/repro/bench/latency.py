@@ -16,15 +16,58 @@ polling tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Type
-
-import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.net.driver import DriverSpec, IB_CONNECTX
 from repro.topology.builder import borderline
 from repro.topology.machine import Machine
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, bit-identical to ``numpy.mean`` on a float64 array:
+    numpy sums with its pairwise scheme (8 accumulators, blocks of 128),
+    and the order of float additions decides the last bits."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(a: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = list(a[lo:lo + 8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += a[lo + i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(i, n):
+            res += a[lo + i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of an ascending sequence, bit-identical to
+    ``numpy.percentile``'s default ``linear`` method: virtual index
+    ``(n - 1) * q / 100``, then numpy's ``_lerp``, which interpolates from
+    the nearer neighbour."""
+    index = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(index)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    t = index - lo
+    diff = b - a
+    return a + diff * t if t < 0.5 else b - diff * (1 - t)
 
 
 @dataclass
@@ -98,14 +141,14 @@ def run_latency_once(
         raise RuntimeError(
             f"latency bench stalled: impl={impl_cls.__name__} threads={nthreads}"
         )
-    arr = np.asarray(samples, dtype=np.float64)
+    ordered = sorted(samples)
     return LatencyPoint(
         threads=nthreads,
-        mean_one_way_ns=float(arr.mean()),
-        min_ns=float(arr.min()),
-        max_ns=float(arr.max()),
-        p50_ns=float(np.percentile(arr, 50)),
-        p99_ns=float(np.percentile(arr, 99)),
+        mean_one_way_ns=mean(samples),
+        min_ns=ordered[0],
+        max_ns=ordered[-1],
+        p50_ns=percentile(ordered, 50),
+        p99_ns=percentile(ordered, 99),
     )
 
 

@@ -43,6 +43,9 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.cluster.cluster import Cluster
+from repro.mpi.collectives import allreduce
+from repro.mpi.madmpi import MadMPI
+from repro.obs.registry import MetricsRegistry
 from repro.par.jobs import derive_seed
 from repro.sim.rng import Rng
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -194,8 +197,6 @@ def _gap_ns(spec: WorkloadSpec, rng: Rng, r: int) -> int:
 
 def _client_body(spec, comm, rank, routes, stats):
     """One node's client: issue its request schedule, join collectives."""
-    from repro.mpi.collectives import allreduce
-
     def body(ctx) -> Generator[Any, Any, None]:
         core = ctx.core_id
         rng = Rng(derive_seed(spec.seed, f"gap{rank}"))
@@ -277,9 +278,6 @@ def build_workload_cluster(
     the returned cluster for :class:`~repro.cluster.shard.ShardRunner`
     to collect.
     """
-    from repro.mpi.madmpi import MadMPI
-    from repro.obs.registry import MetricsRegistry
-
     factories = {
         "smp2x2": lambda: smp(2, 2),
         "smp1x2": lambda: smp(1, 2),

@@ -1,15 +1,19 @@
 """MPI-level interfaces: Mad-MPI and the baseline models."""
 
 from repro.mpi.madmpi import ANY_SOURCE, ANY_TAG, MadMPI, MadMPIComm
-from repro.mpi.baseline import BigLockMPI, BigLockComm, MVAPICHLike, OpenMPILike
 from repro.mpi import collectives
+from repro._lazy import lazy_exports
 
-#: the implementations compared in the paper's evaluation
-IMPLEMENTATIONS = {
-    "PIOMan": MadMPI,
-    "MVAPICH": MVAPICHLike,
-    "OpenMPI": OpenMPILike,
-}
+# the baseline models load on first use (see repro._lazy)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "baseline": (
+        "BigLockMPI",
+        "BigLockComm",
+        "MVAPICHLike",
+        "OpenMPILike",
+        "IMPLEMENTATIONS",
+    ),
+})
 
 __all__ = [
     "collectives",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
+from repro.mpi.madmpi import MadMPI
 from repro.net.frame import Completion, Frame
 from repro.net.nic import Nic
 from repro.nmad.requests import ANY, RecvRequest, ReqState, SendRequest
@@ -320,3 +321,11 @@ class OpenMPILike(BigLockMPI):
     name = "OpenMPI"
     mt_stable = False
     eager_threshold = 16 * 1024
+
+
+#: the implementations compared in the paper's evaluation
+IMPLEMENTATIONS = {
+    "PIOMan": MadMPI,
+    "MVAPICH": MVAPICHLike,
+    "OpenMPI": OpenMPILike,
+}

@@ -34,25 +34,6 @@ All are wired through the bench CLI (``--metrics-out`` / ``--trace-out`` /
 next to its paper-shaped table.
 """
 
-from repro.obs.analyze import (
-    TraceAnalysis,
-    analyze_trace,
-    analyze_trace_file,
-    format_analysis,
-)
-from repro.obs.chrometrace import chrome_trace, write_chrome_trace
-from repro.obs.critpath import (
-    CriticalPath,
-    extract_critical_path,
-    extract_critical_path_file,
-    format_critical_path,
-)
-from repro.obs.diff import DiffReport, diff_docs, diff_files, format_diff
-from repro.obs.gantt import (
-    render_gantt_svg,
-    render_gantt_term,
-    write_gantt_svg,
-)
 from repro.obs.histogram import Histogram
 from repro.obs.merge import (
     merge_snapshots,
@@ -61,6 +42,21 @@ from repro.obs.merge import (
     union_snapshots,
 )
 from repro.obs.registry import MetricsRegistry
+from repro._lazy import lazy_exports
+
+# the offline tools load on first use (see repro._lazy)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analyze": ("TraceAnalysis", "analyze_trace", "analyze_trace_file", "format_analysis"),
+    "chrometrace": ("chrome_trace", "write_chrome_trace"),
+    "critpath": (
+        "CriticalPath",
+        "extract_critical_path",
+        "extract_critical_path_file",
+        "format_critical_path",
+    ),
+    "diff": ("DiffReport", "diff_docs", "diff_files", "format_diff"),
+    "gantt": ("render_gantt_svg", "render_gantt_term", "write_gantt_svg"),
+})
 
 __all__ = [
     "CriticalPath",

@@ -123,14 +123,17 @@ def load_doc(path: str) -> dict:
 
 
 def _rel(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None or b is None or a == 0:
+    # fingerprints may hold digests (strings): those only "change"
+    if not isinstance(a, (int, float)) or not isinstance(b, (int, float)) or a == 0:
         return None
     return (b - a) / a
 
 
 def _fmt_rel(item: BlameItem) -> str:
     if item.rel is None:
-        return "new" if item.a in (None, 0) else "gone"
+        if item.a in (None, 0):
+            return "new"
+        return "gone" if item.b is None else "changed"
     return f"{100 * item.rel:+.1f}%"
 
 

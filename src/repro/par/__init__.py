@@ -28,8 +28,13 @@ serial loop would have produced.
 """
 
 from repro.par.jobs import JobFailure, JobResult, JobSpec, derive_seed, resolve_target
-from repro.par.pool import has_fork, resolve_jobs, run_jobs, run_jobs_strict
 from repro.par.shardpool import ShardPool, ShardPoolError
+from repro._lazy import lazy_exports
+
+# the job pool (and with it ``multiprocessing``) loads on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "pool": ("has_fork", "resolve_jobs", "run_jobs", "run_jobs_strict"),
+})
 
 __all__ = [
     "JobFailure",

@@ -33,13 +33,11 @@ and the call arguments, never on scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from typing import Any, Optional, Sequence
 
 from repro.par.jobs import JobSpec
-from repro.par.pool import has_fork
 
 #: wire tokens: parent -> worker requests, worker -> parent replies
 _CALL, _STOP = "call", "stop"
@@ -111,6 +109,10 @@ class ShardPool:
         serial: bool = False,
         timeout_s: Optional[float] = None,
     ) -> None:
+        # the job pool imports multiprocessing: load it with the pool's
+        # set-up, not on ``import repro``
+        from repro.par.pool import has_fork
+
         if not specs:
             raise ValueError("ShardPool needs at least one spec")
         names = [s.name for s in specs]
@@ -128,6 +130,8 @@ class ShardPool:
         if self.serial:
             self._states = [spec.run() for spec in self.specs]
             return
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         try:
             for spec in self.specs:

@@ -14,8 +14,11 @@ helpers :data:`US` and :data:`MS` exist for readability.
 from repro.sim.engine import Engine, Event, SimulationError, DeadlockError
 from repro.sim.rng import Rng
 from repro.sim.trace import Tracer, TraceRecord
-from repro.sim import debug, report
 from repro.sim.units import NS, US, MS, SEC, fmt_ns
+from repro._lazy import lazy_exports
+
+# the debugging and report helpers load on first use (see repro._lazy)
+__getattr__, __dir__ = lazy_exports(__name__, {}, submodules=("debug", "report"))
 
 __all__ = [
     "Engine",

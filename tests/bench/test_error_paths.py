@@ -93,3 +93,40 @@ def test_diff_rejects_missing_json_out_dir(tmp_path, capsys):
     good = tmp_path / "diff.json"
     assert main(["diff", str(doc), str(doc), "--json-out", str(good)]) == 0
     assert json.loads(good.read_text()) is not None
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["perf", "--quick"], "--out"),
+        (["perf", "--quick"], "--profile"),
+        (["cluster-scale", "--nodes", "4", "--shards", "1"], "--out"),
+        (["analyze", "--trace", "unused.json"], "--analysis-out"),
+    ],
+)
+def test_late_writers_check_their_output_before_running(argv, flag, tmp_path, capsys):
+    """``perf``, ``cluster-scale`` and ``analyze`` write their report after
+    the work; a bad path must fail before it, with one line naming the
+    flag (``analyze`` does not even open its --trace)."""
+    from repro.bench.cli import main
+
+    bad = str(tmp_path / "missing" / "out.json")
+    assert main(argv + [flag, bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing ran
+    assert err.splitlines() == [
+        f"repro-bench: error: {flag} {bad}: directory "
+        f"{tmp_path / 'missing'} does not exist"
+    ]
+
+
+def test_cluster_scale_dash_skips_the_output_check(tmp_path, monkeypatch, capsys):
+    """``cluster-scale --out -`` writes nothing, so nothing is checked."""
+    from repro.bench.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["cluster-scale", "--nodes", "4", "--requests", "2", "--shards", "1",
+            "--serial", "--out", "-"]
+    assert main(argv) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

@@ -56,6 +56,18 @@ def test_hostperf_diff_improvement_is_not_ranked_first():
     assert report.entries[1].ratio == pytest.approx(1.4)
 
 
+def test_hostperf_diff_blames_a_changed_digest():
+    """Fingerprints may carry digests (the sharded scenario's merged
+    snapshot hash); a changed digest is blamed, not a crash."""
+    a, b = _hostperf_doc(), _hostperf_doc()
+    a["scenarios"][0]["fingerprint"]["run_fingerprint"] = "8a3e750b"
+    b["scenarios"][0]["fingerprint"]["run_fingerprint"] = "7546aef6"
+    report = diff_docs(a, b)
+    steady = next(e for e in report.entries if e.name == "steady")
+    assert [it.name for it in steady.items] == ["run_fingerprint"]
+    assert "run_fingerprint: 8a3e750b -> 7546aef6 (changed)" in format_diff(report)
+
+
 def _analysis_doc(*, makespan=80_000, retx_events=2):
     return {
         "meta": {"kind": "trace_analysis", "makespan_ns": makespan,
