@@ -99,10 +99,9 @@ class Node:
 class Cluster:
     """N homogeneous nodes over one fabric and one virtual clock.
 
-    ``core`` / ``quiescence_leap`` select the engine core ("wheel" or
-    "heap") and the idle-poll fast-forward per cluster, without the
-    ``REPRO_ENGINE_CORE`` / ``REPRO_LEAP`` env games (A/B runs build two
-    clusters side by side).  ``shard=(index, count)`` instantiates only
+    ``quiescence_leap`` selects the idle-poll fast-forward per cluster,
+    without the ``REPRO_LEAP`` env game (A/B runs build two clusters
+    side by side).  ``shard=(index, count)`` instantiates only
     the nodes this shard owns — see the module docstring.  In a sharded
     build, ``nnodes`` stays the *global* node count.
 
@@ -127,7 +126,6 @@ class Cluster:
         registry=None,
         summary_fastpath: bool = True,
         faults: Optional[FaultPlan] = None,
-        core: Optional[str] = None,
         quiescence_leap: Optional[bool] = None,
         jitter_mode: str = "global",
         fault_scope: str = "run",
@@ -143,7 +141,7 @@ class Cluster:
             from repro.cluster.shard import ShardSpec
 
             shard = ShardSpec(*shard)
-        self.engine = Engine(core=core)
+        self.engine = Engine()
         self.rng = Rng(seed)
         self.fabric = Fabric(
             self.engine, rng=self.rng.fork(1), jitter_mode=jitter_mode
@@ -220,9 +218,9 @@ class Cluster:
                     registry.register("faults", injector.stats)
                 self.faults = injector
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Run the shared engine (see :meth:`repro.sim.Engine.run`)."""
-        return self.engine.run(until=until, max_events=max_events)
+        return self.engine.run(until=until)
 
     def __repr__(self) -> str:
         shard = f" shard={self.shard.index}/{self.shard.count}" if self.shard else ""

@@ -29,18 +29,16 @@ Cores join the leap in either of two provable states:
   remaining cycles batch like everyone else's.
 
 When it is attempted: the scheduler arms the controller each time an
-idle thread re-enters its sleeping steady state, and the engine offers
-an armed leap at every wheel-bucket boundary (the heap core: before
-every event).  An attempt that gets as far as computing its bound — the
-next external event, ``t_stop`` — records it as ``retry_at`` whether it
-leaped or fell short, and no new attempt starts before that event has
-fired; the wheel then leaves its bucket drain to retry right after it
-instead of waiting for the next boundary.  Only an attempt that cannot
-plan a single core (or finds no bound at all) cools down, for
-``cool_ns`` of virtual time.
+idle thread re-enters its sleeping steady state, and the engine's run
+loop offers an armed leap before every event.  An attempt that gets as
+far as computing its bound — the next external event, ``t_stop`` —
+records it as ``retry_at`` whether it leaped or fell short, and no new
+attempt scans before that event has fired, so the next scan comes right
+after it.  Only an attempt that cannot plan a single core (or finds no
+bound at all) cools down, for ``cool_ns`` of virtual time.
 
-The contract is the same one the summary fast path and the wheel core
-shipped under: **bit-identical**.  Leap-on and leap-off runs produce the
+The contract is the same one the summary fast path shipped under:
+**bit-identical**.  Leap-on and leap-off runs produce the
 same fingerprints, the same metrics snapshots, the same engine ``fired``
 count and internal ``seq`` numbering — the leap replays the exact
 per-cycle accounting (pass/summary/queue counters, histogram samples via
@@ -65,7 +63,6 @@ import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.engine import Event
 from repro.threads.instructions import Compute, Sleep
 from repro.threads.scheduler import Keypoint
 from repro.threads.thread import TState
@@ -90,7 +87,7 @@ _ASLEEP, _MIDCYCLE = 0, 1
 class QuiescenceLeap:
     """One leap controller per engine, installed by :class:`PIOMan`.
 
-    The engine's run loops call :meth:`attempt` when ``armed`` is set
+    The engine's run loop calls :meth:`attempt` when ``armed`` is set
     (the scheduler arms it whenever an idle thread re-enters its
     sleeping steady state).  ``attempt`` re-validates everything from
     scratch — arming is a cheap hint, never a proof.
@@ -119,16 +116,15 @@ class QuiescenceLeap:
         #: eligibility-failure cooldown (virtual ns): an attempt that finds
         #: no core to plan costs an O(cores) scan and learns no bound, and
         #: the arm hint re-fires every probe cycle on every core — without
-        #: a cooldown a busy phase pays that scan per cycle.  One wheel
-        #: bucket's worth of virtual time caps those failures at the
-        #: bucket cadence.  Attempts that reach the bound computation do
-        #: not cool down: they wait for the bounding event instead.
+        #: a cooldown a busy phase pays that scan per cycle.  The 4096 ns
+        #: cooldown caps those failures at one per ~4 us of virtual time.
+        #: Attempts that reach the bound computation do not cool down:
+        #: they wait for the bounding event instead.
         self.cool_ns = 4096
         #: earliest virtual instant worth another attempt: the bound
         #: (``t_stop``) of the last attempt that computed one, or the end
         #: of an eligibility-failure cooldown.  ``attempt`` returns at
-        #: once before it, and the wheel leaves its bucket drain to retry
-        #: as soon as the clock moves past an instant at or after it.
+        #: once before it.
         self.retry_at = 0
         # Host-side diagnostics only — deliberately NOT registered in any
         # metrics registry, so snapshots stay identical leap-on/leap-off.
@@ -162,8 +158,6 @@ class QuiescenceLeap:
             or not sched.true_spin
             or sched.normal_live <= 0
         ):
-            return False
-        if engine.is_wheel and engine._nowq:
             return False
 
         # -- per-core eligibility -------------------------------------
@@ -426,8 +420,6 @@ class QuiescenceLeap:
         busy = sched._busy
         preempt = sched._preempt
         leap_commit = manager.leap_commit
-        pool = engine._pool
-        is_wheel = engine.is_wheel
         for i, (cid, idle, ev, shape, anchor, c) in enumerate(committed):
             nw = wakes[i]
             exit_mid = pend[i] is not None
@@ -479,22 +471,7 @@ class QuiescenceLeap:
                         "quiescence leap: straddling-cycle resume did not "
                         f"yield the batched pass Compute (got {instr!r})"
                     )
-                if pool:
-                    nev = pool.pop()
-                    nev.time = ta
-                    nev.seq = cseq
-                    nev.fn = advance
-                    nev.args = idle.adv_args
-                    nev.alive = True
-                else:
-                    nev = Event(ta, cseq, advance, idle.adv_args)
-                    nev._pooled = True
-                nev._engine = engine
-                engine._live += 1
-                if is_wheel:
-                    engine._insert((ta, cseq, None, nev))
-                else:
-                    heappush(engine._heap, (ta, cseq, nev))
+                nev = engine._checkout(ta, cseq, advance, idle.adv_args)
                 idle.compute_event = (nev, wlast, c)
                 idle.sleep_event = None
                 idle.state = TState.RUNNING
@@ -511,23 +488,7 @@ class QuiescenceLeap:
                 cur[cid] = None
                 preempt[cid] = False
                 st, ss = survivor[i]
-                if pool:
-                    nev = pool.pop()
-                    nev.time = st
-                    nev.seq = ss
-                    nev.fn = sleep_wake
-                    nev.args = idle.wake_args
-                    nev.alive = True
-                else:
-                    nev = Event(st, ss, sleep_wake, idle.wake_args)
-                    nev._pooled = True
-                nev._engine = engine
-                engine._live += 1
-                if is_wheel:
-                    engine._insert((st, ss, None, nev))
-                else:
-                    heappush(engine._heap, (st, ss, nev))
-                idle.sleep_event = nev
+                idle.sleep_event = engine._checkout(st, ss, sleep_wake, idle.wake_args)
                 idle.instr_start = last_adv2[i]
             if last_rq[i] >= 0:
                 idle.rq_seq = last_rq[i]

@@ -12,25 +12,17 @@ cleanly into two camps:
   handle (sleep timers, interruptible compute slices).
 * :meth:`Engine.post` / :meth:`Engine.post_soon` / :meth:`Engine.post_at`
   are the fire-and-forget fast path: no handle escapes, so no Event
-  object is needed at all on the wheel core (the dominant case —
-  dispatch ticks, lock grants, doorbell rings, wire deliveries).
+  object is needed at all (the dominant case — dispatch ticks, lock
+  grants, doorbell rings, wire deliveries).
 
-Two interchangeable cores implement the same total order:
-
-* ``Engine(core="wheel")`` (the default) — a bucketed timer wheel
-  (calendar queue): events land in ``time >> WHEEL_SHIFT`` buckets in
-  O(1), the run loop drains one bucket at a time, and all events in a
-  bucket fire as one sorted batch without re-sifting between them.
-  Far-future timers beyond the wheel horizon wait in an overflow heap
-  and migrate into the wheel as the window slides.
-* ``Engine(core="heap")`` — the original binary heap of
-  ``(time, seq, Event)`` tuples with a free pool of recycled carriers.
-
-``seq`` is a global monotonically increasing counter, so ties fire in
-submission order and every run is bit-for-bit reproducible; both cores
-realize the exact same ``(time, seq)`` total order, so a simulation is
-byte-identical whichever core runs it (the randomized equivalence fuzz
-in ``tests/sim/test_engine_wheel.py`` holds them to that).
+The queue is one binary heap of plain tuples: ``(time, seq, fn, args)``
+for posts and ``(time, seq, None, event)`` for cancellable handles.
+``seq`` is a global monotonically increasing counter, unique per entry,
+so heap sifts compare ``(time, seq)`` at C speed and never reach the
+payload; ties fire in submission order and every run is bit-for-bit
+reproducible.  The hot callers (the scheduler's interpreter and the
+quiescence leap) push entries of this shape straight onto ``_heap`` and
+check their cancellable carriers out of the engine's free pool.
 
 *Drain hooks*: callables consulted when the queue drains while some
 component still claims to be waiting for progress; used by the cluster
@@ -40,32 +32,12 @@ harness to detect deadlocks instead of silently returning.
 from __future__ import annotations
 
 import math
-import os
-from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
-
-#: wheel bucket width is ``1 << WHEEL_SHIFT`` ns.  4096 ns holds dozens
-#: of events at the hot scenarios' densities (probe cycles are 120 ns,
-#: idle re-polls 2000 ns) — big enough to amortize the per-bucket
-#: bookkeeping even on sparse timelines, small enough that the in-bucket
-#: sort stays tiny (timsort on near-sorted runs).  Empirically 12 beats
-#: 10/11/13 across dense and sparse event spreads.
-WHEEL_SHIFT = 12
-#: number of wheel slots; the horizon is ``WHEEL_SLOTS << WHEEL_SHIFT``
-#: (~1.05 ms).  Timer quanta (1 ms) fit inside the window; retransmit
-#: timeouts overflow to the heap and migrate in as the window slides —
-#: rare enough that the heappush there is noise.
-WHEEL_SLOTS = 256
-WHEEL_MASK = WHEEL_SLOTS - 1
 
 #: free-pool cap: recycled carriers beyond this are dropped so a bursty
 #: scenario cannot retain an unbounded free list forever.
 POOL_CAP = 4096
-
-#: process-wide default core, overridable for A/B runs without touching
-#: call sites: ``REPRO_ENGINE_CORE=heap python -m repro.bench perf ...``
-DEFAULT_CORE = os.environ.get("REPRO_ENGINE_CORE", "wheel")
 
 
 class SimulationError(RuntimeError):
@@ -79,13 +51,12 @@ class DeadlockError(SimulationError):
 class Event:
     """Handle for a scheduled callback.
 
-    Queued as the payload of a ``(time, seq, None, event)`` entry (wheel
-    core) or a ``(time, seq, event)`` heap tuple (heap core);
+    Queued as the payload of a ``(time, seq, None, event)`` heap entry;
     ``cancel()`` marks the event dead and the engine skips dead events
     when they surface.  ``_engine`` is set while the event is queued and
     cancellable, so cancellation can maintain the engine's O(1) live
     count; ``_pooled`` events are internal carriers that return to the
-    engine's free pool after firing.
+    engine's free pool after firing or surfacing dead.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "alive", "_engine", "_pooled")
@@ -130,35 +101,17 @@ def _coerce_delay(delay: Any) -> int:
 
 
 class Engine:
-    """Deterministic discrete-event loop with a nanosecond virtual clock.
+    """Deterministic discrete-event loop with a nanosecond virtual clock."""
 
-    Instantiating ``Engine(core=...)`` returns the selected core
-    subclass (:class:`WheelEngine` or :class:`HeapEngine`); with no
-    argument the process default (``DEFAULT_CORE``) is used.
-    """
-
-    #: class-level discriminant so hot call sites can branch on the
-    #: queue layout without an isinstance check
-    is_wheel = False
-
-    def __new__(cls, core: Optional[str] = None) -> "Engine":
-        if cls is Engine:
-            kind = DEFAULT_CORE if core is None else core
-            if kind == "wheel":
-                return object.__new__(WheelEngine)
-            if kind == "heap":
-                return object.__new__(HeapEngine)
-            raise ValueError(f"unknown engine core {kind!r}")
-        return object.__new__(cls)
-
-    def __init__(self, core: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._live: int = 0
         self._running = False
-        #: free pool of recycled Event carriers (see :meth:`post` on the
-        #: heap core; the wheel core pools only cancellable carriers its
-        #: callers ask it to, e.g. the scheduler's sleep timers)
+        self._heap: list[tuple] = []
+        #: free pool of recycled cancellable carriers (``_pooled`` events:
+        #: the scheduler's sleep timers and Compute completions, the
+        #: leap's re-armed carriers); caller-owned handles never enter it
         self._pool: list[Event] = []
         #: number of callbacks actually executed (dead events excluded)
         self.fired: int = 0
@@ -171,22 +124,96 @@ class Engine:
         self.blocked_reporters: list[Callable[[], int]] = []
         #: quiescence-leap controller (:class:`repro.core.leap
         #: .QuiescenceLeap`), installed by PIOMan on eligible worlds;
-        #: the run loops consult it only when its ``armed`` hint is set.
+        #: the run loop consults it only when its ``armed`` hint is set.
         self.leap = None
 
     # ------------------------------------------------------------------
-    # shared API
+    # scheduling — cancellable handles
     # ------------------------------------------------------------------
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` to run ``delay`` ns from now.
+
+        ``delay`` must be non-negative and finite; fractional delays are
+        rounded up so a nonzero delay never becomes zero.
+        """
+        if type(delay) is not int:
+            delay = _coerce_delay(delay)
+        elif delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args)
+        ev._engine = self
+        self._live += 1
+        heappush(self._heap, (time, seq, None, ev))
+        return ev
+
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         return self.schedule(time - self.now, fn, *args)
 
-    def run_until_idle(self) -> int:
-        """Alias of :meth:`run` with no bound — runs to a fully drained queue."""
-        return self.run()
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
+        return self.schedule(0, fn, *args)
 
+    def _checkout(self, time: int, seq: int, fn: Callable[..., Any], args: tuple) -> Event:
+        """Queue a pooled cancellable carrier at an already-allocated
+        ``seq``, reusing a free-pool carrier when one is available (the
+        scheduler's sleep and Compute paths, the leap's re-armed
+        carriers).  The caller must drop the handle once it fires or is
+        cancelled: the carrier is then recycled."""
+        pool = self._pool
+        if pool:
+            ev = pool.pop()
+            ev.time = time
+            ev.seq = seq
+            ev.fn = fn
+            ev.args = args
+            ev.alive = True
+        else:
+            ev = Event(time, seq, fn, args)
+            ev._pooled = True
+        ev._engine = self
+        self._live += 1
+        heappush(self._heap, (time, seq, None, ev))
+        return ev
+
+    # ------------------------------------------------------------------
+    # scheduling — fire-and-forget fast path (no handle, no carrier)
+    # ------------------------------------------------------------------
+    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: no handle, no Event object."""
+        if type(delay) is not int:
+            delay = _coerce_delay(delay)
+        elif delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heappush(self._heap, (self.now + delay, seq, fn, args))
+
+    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule_at`."""
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heappush(self._heap, (time, seq, fn, args))
+
+    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Fire-and-forget :meth:`call_soon`."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heappush(self._heap, (self.now, seq, fn, args))
+
+    # ------------------------------------------------------------------
+    # queue inspection
+    # ------------------------------------------------------------------
     def pending(self) -> int:
         """Number of live events still queued (O(1))."""
         return self._live
@@ -196,6 +223,57 @@ class Engine:
         ev.fn = ev.args = None
         if len(self._pool) < POOL_CAP:
             self._pool.append(ev)
+
+    def peek_time(self) -> Optional[int]:
+        """Time of the next live event, or None if the queue is drained.
+
+        Skims dead entries off the top (recycling pooled carriers)
+        exactly like the run loop would.
+        """
+        heap = self._heap
+        while heap:
+            e = heap[0]
+            if e[2] is None and not e[3].alive:
+                heappop(heap)
+                if e[3]._pooled:
+                    self._recycle(e[3])
+                continue
+            return e[0]
+        return None
+
+    def next_external_time(self, carriers: set) -> Optional[int]:
+        """Earliest live queued event that is not one of ``carriers``.
+
+        ``carriers`` is a set of cancellable :class:`Event` handles the
+        quiescence leap has classified as elidable periodic idle
+        carriers; everything else — fire-and-forget posts, other
+        handles — is *external* and bounds the leap.  Returns None when
+        no external event is queued.  Read-only: never pops, recycles,
+        or reorders queue state.
+
+        A pruned walk down the heap: no entry is earlier than its parent,
+        so the walk stops at the first external entry on each path (and
+        at anything no earlier than the best found so far), visiting only
+        the skipped entries and their children.
+        """
+        heap = self._heap
+        n = len(heap)
+        best = None
+        todo = [0] if n else []
+        while todo:
+            i = todo.pop()
+            t, _, fn, ev = heap[i]
+            if best is not None and t >= best:
+                continue
+            if fn is not None or (ev.alive and ev not in carriers):
+                best = t
+                continue
+            i = 2 * i + 1
+            if i < n:
+                todo.append(i)
+                if i + 1 < n:
+                    todo.append(i + 1)
+        return best
 
     def blocked_actors(self) -> int:
         """Actors currently blocked, summed over the registered reporters.
@@ -221,361 +299,31 @@ class Engine:
             )
         return self.now
 
-    def next_external_time(self, carriers: set) -> Optional[int]:
-        """Earliest live queued event that is not one of ``carriers``.
-
-        ``carriers`` is a set of cancellable :class:`Event` handles the
-        quiescence leap has classified as elidable periodic idle
-        carriers; everything else — fire-and-forget posts, other
-        handles — is *external* and bounds the leap.  Returns None when
-        no external event is queued.  Read-only: never pops, recycles,
-        or reorders queue state.
-        """
-        raise NotImplementedError
-
-    # subclass responsibilities
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        raise NotImplementedError
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        raise NotImplementedError
-
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def step(self) -> bool:
-        raise NotImplementedError
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "wheel" if self.is_wheel else "heap"
-        return f"<Engine[{kind}] now={self.now}ns pending={self.pending()} fired={self.fired}>"
-
-
-class WheelEngine(Engine):
-    """Timer-wheel core: O(1) insert, batched bucket drains.
-
-    Layout
-    ------
-    ``_slots[time >> WHEEL_SHIFT & WHEEL_MASK]`` holds every queued entry
-    whose bucket index falls inside the current window
-    ``[_wpos, _wlimit)`` (``_wlimit - _wpos`` is always ``WHEEL_SLOTS``,
-    so masked slots never alias).  ``_bidx`` is a sorted list of the
-    *absolute* indices of non-empty buckets: the next non-empty bucket
-    is ``_bidx[0]``, and an insert only touches it on a bucket's
-    empty→non-empty transition (one ``len()`` check otherwise — cheaper
-    than any bitmask arithmetic at Python speed).  Entries at or beyond
-    ``_wlimit`` wait in the ``_over`` heap and migrate into the wheel as
-    the window slides (every overflow entry's time is >= every wheel
-    entry's time, so migration never reorders).
-
-    Entries are plain tuples — ``(time, seq, fn, args)`` for
-    fire-and-forget posts (no carrier object at all), and
-    ``(time, seq, None, event)`` for cancellable handles.  Three insert
-    tiers, cheapest first:
-
-    * ``time == now`` → ``_nowq``, a plain FIFO: these are the
-      same-instant events (``post_soon``/``call_soon`` and zero-delay
-      posts) and they fire *as a batch with no ordering work at all*.
-      This is sound because ``seq`` is globally monotonic and every
-      at-``now`` arrival during an instant lands here — so anything
-      already queued at this time has a smaller ``seq`` than every
-      FIFO entry, and the FIFO itself is in ``seq`` order by
-      construction.
-    * bucket currently being drained (``time <= _aend``, one compare —
-      the dominant case: dispatch chains step ~100 ns inside 4096 ns
-      buckets) → ``heappush`` straight into the live bucket heap: the
-      ordering cost is paid on a tiny per-bucket heap, only for entries
-      that actually interleave with the drain.
-    * any other in-window bucket → bare ``list.append`` (no ordering
-      work); the bucket is ``heapify``-ed once when its drain begins.
-    """
-
-    is_wheel = True
-
-    def __init__(self, core: Optional[str] = None) -> None:
-        super().__init__(core)
-        self._slots: list[list[tuple]] = [[] for _ in range(WHEEL_SLOTS)]
-        #: sorted absolute indices of non-empty buckets
-        self._bidx: list[int] = []
-        #: absolute bucket index of the window start (<= bucket of the
-        #: next undrained entry; never ahead of ``now``'s bucket while
-        #: callers can insert)
-        self._wpos: int = 0
-        #: absolute bucket index one past the window end (exclusive);
-        #: maintained as ``_wpos + WHEEL_SLOTS``
-        self._wlimit: int = WHEEL_SLOTS
-        #: overflow heap for entries beyond the window
-        self._over: list[tuple] = []
-        #: FIFO of entries whose time equals ``now`` (drained before the
-        #: clock advances; folded back into the wheel if one survives
-        #: past a run, e.g. a post_soon issued between runs)
-        self._nowq: list[tuple] = []
-        #: last timestamp covered by the actively draining bucket, else
-        #: -1.  Because callers can only schedule at ``time >= now`` and
-        #: ``now`` sits inside the active bucket while draining,
-        #: ``time <= _aend`` is a complete one-compare test for "lands in
-        #: the live bucket" — the dominant insert (dispatch chains step
-        #: ~100 ns inside 4096 ns buckets), reduced to one C heappush.
-        self._aend: int = -1
-        #: the live bucket list itself while draining (alias of
-        #: its slot list in ``_slots``), else None
-        self._abuc: Optional[list] = None
-
-    def _insert(self, e: tuple) -> None:
-        """Queue an entry with ``now < time`` outside the active bucket:
-        bare append into its window bucket (registering occupancy on the
-        empty→non-empty flip) or heappush into the overflow heap."""
-        idx = e[0] >> WHEEL_SHIFT
-        if idx < self._wlimit:
-            lst = self._slots[idx & WHEEL_MASK]
-            lst.append(e)
-            if len(lst) == 1:
-                insort(self._bidx, idx)
-        else:
-            heappush(self._over, e)
-
-    # ------------------------------------------------------------------
-    # scheduling — cancellable handles
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now.
-
-        ``delay`` must be non-negative and finite; fractional delays are
-        rounded up so a nonzero delay never becomes zero.
-        """
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        if delay == 0:
-            self._nowq.append((time, seq, None, ev))
-        elif time <= self._aend:
-            heappush(self._abuc, (time, seq, None, ev))
-        else:
-            self._insert((time, seq, None, ev))
-        return ev
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        self._nowq.append((ev.time, seq, None, ev))
-        return ev
-
-    # ------------------------------------------------------------------
-    # scheduling — fire-and-forget fast path (no handle, no carrier)
-    # ------------------------------------------------------------------
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, no Event object."""
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if delay == 0:
-            self._nowq.append((time, seq, fn, args))
-        elif time <= self._aend:
-            heappush(self._abuc, (time, seq, fn, args))
-        else:
-            self._insert((time, seq, fn, args))
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if time == self.now:
-            self._nowq.append((time, seq, fn, args))
-        elif time <= self._aend:
-            heappush(self._abuc, (time, seq, fn, args))
-        else:
-            self._insert((time, seq, fn, args))
-
-    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`call_soon`."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        self._nowq.append((self.now, seq, fn, args))
-
-    # ------------------------------------------------------------------
-    # window machinery
-    # ------------------------------------------------------------------
-    def _retreat_window(self) -> None:
-        """Pull the window start back to ``now``'s bucket.
-
-        Only legal while the wheel itself is empty (draining dead-only
-        buckets can leave the cursor ahead of ``now``; new inserts must
-        land at non-aliasing slots, so the window must restart at or
-        before ``now`` whenever callers regain control with ``now``
-        behind the cursor)."""
-        w = self.now >> WHEEL_SHIFT
-        if self._wpos > w:
-            self._wpos = w
-            self._wlimit = w + WHEEL_SLOTS
-
-    def _flush_nowq(self) -> None:
-        """Fold same-instant FIFO entries back into the wheel.
-
-        Only needed when an entry posted at ``now`` survives past the
-        instant it was posted in — i.e. it arrived outside a run (setup
-        code, between bounded runs) or a callback raised mid-instant.
-        The wheel may then already hold ties at the same time with
-        *smaller* seqs, so the cheap FIFO ordering no longer suffices
-        and the entries must merge through the normal (time, seq) path.
-        """
-        nq = self._nowq
-        for e in nq:
-            idx = e[0] >> WHEEL_SHIFT
-            if idx < self._wlimit:
-                lst = self._slots[idx & WHEEL_MASK]
-                lst.append(e)
-                if len(lst) == 1:
-                    insort(self._bidx, idx)
-            else:  # pragma: no cover - now is always inside the window
-                heappush(self._over, e)
-        nq.clear()
-
-    def next_external_time(self, carriers: set) -> Optional[int]:
-        """See :meth:`Engine.next_external_time`.
-
-        Walks the engine tiers cheapest-first without scanning past the
-        answer: the same-instant FIFO (any live non-carrier entry bounds
-        the leap at its post instant), then the occupied-bucket index in
-        time order — the first bucket containing an external entry holds
-        the minimum, because inter-bucket order is time order — and only
-        if the whole wheel is carrier-only, the overflow heap (every
-        overflow time is >= every wheel time).
-        """
-        for e in self._nowq:
-            if e[2] is None:
-                ev = e[3]
-                if not ev.alive or ev in carriers:
-                    continue
-            return e[0]
-        slots = self._slots
-        for pos in self._bidx:
-            best = None
-            for e in slots[pos & WHEEL_MASK]:
-                if e[2] is None:
-                    ev = e[3]
-                    if not ev.alive or ev in carriers:
-                        continue
-                if best is None or e[0] < best:
-                    best = e[0]
-            if best is not None:
-                return best
-        best = None
-        for e in self._over:
-            if e[2] is None:
-                ev = e[3]
-                if not ev.alive or ev in carriers:
-                    continue
-            if best is None or e[0] < best:
-                best = e[0]
-        return best
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or None if the queue is drained.
-
-        Skims dead entries off the front (recycling pooled carriers)
-        exactly like the run loop would.
-        """
-        if self._nowq:
-            self._flush_nowq()
-        slots = self._slots
-        bidx = self._bidx
-        while bidx:
-            pos = bidx[0]
-            lst = slots[pos & WHEEL_MASK]
-            if len(lst) > 1:
-                heapify(lst)
-            while lst:
-                e = lst[0]
-                if e[2] is None and not e[3].alive:
-                    heappop(lst)
-                    ev = e[3]
-                    if ev._pooled:
-                        self._recycle(ev)
-                    continue
-                return e[0]
-            del bidx[0]
-        over = self._over
-        while over:
-            e = over[0]
-            if e[2] is None and not e[3].alive:
-                heappop(over)
-                ev = e[3]
-                if ev._pooled:
-                    self._recycle(ev)
-                continue
-            return e[0]
-        return None
-
     def step(self) -> bool:
         """Run the single next live event.  Returns False if none exist."""
-        t = self.peek_time()
-        if t is None:
+        if self.peek_time() is None:
             return False
-        # peek_time left the next live entry at the top of its
-        # (heapified) bucket, or at the overflow head if the wheel is
-        # empty.
-        bidx = self._bidx
-        if bidx:
-            lst = self._slots[bidx[0] & WHEEL_MASK]
-            e = heappop(lst)
-            if not lst:
-                del bidx[0]
-        else:
-            e = heappop(self._over)
-        self.now = e[0]
+        time, _, fn, args = heappop(self._heap)
+        self.now = time
         self.fired += 1
         self._live -= 1
-        fn = e[2]
-        if fn is not None:
-            fn(*e[3])
-        else:
-            ev = e[3]
+        if fn is None:
+            ev = args
             ev._engine = None
-            efn = ev.fn
-            eargs = ev.args
+            fn = ev.fn
+            args = ev.args
             if ev._pooled:
                 self._recycle(ev)
-            efn(*eargs)
+        fn(*args)
         return True
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` ns is reached, or
-        ``max_events`` callbacks fired.  Returns the virtual time.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until the queue drains or the next live event lies past
+        ``until`` ns (the clock then stops at ``until``).  Returns the
+        virtual time.
 
         Draining with blocked actors raises :class:`DeadlockError` — a
         simulation that silently stops with threads still waiting is
@@ -584,474 +332,63 @@ class WheelEngine(Engine):
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        SHIFT = WHEEL_SHIFT
-        MASK = WHEEL_MASK
-        SLOTS = WHEEL_SLOTS
-        slots = self._slots
-        over = self._over
-        pool = self._pool
-        hi = until
-        budget = max_events
-        nfired = 0
-        ndone = 0  # deferred _live decrements, flushed once in finally
-        cur = self.now  # mirror of self.now: skip the store on time ties
-        bidx = self._bidx
-        if self._nowq:
-            # entries posted at ``now`` outside a run may tie with older
-            # wheel entries: merge them through the (time, seq) path
-            self._flush_nowq()
-        nowq = self._nowq
-        try:
-            while True:
-                if budget is not None and budget <= 0:
-                    return self.now
-                # Quiescence leap: consulted between buckets, and only on
-                # unbudgeted runs — a leap fires many events per call,
-                # which a max_events bound must count one at a time.
-                # ``retry`` (None without a controller) is the leap's
-                # ``retry_at``: once the clock moves past an instant at or
-                # after it, the drain below hands the bucket back here
-                # for a fresh attempt instead of finishing it.
-                lp = self.leap
-                if lp is not None and budget is None:
-                    if lp.armed and not nowq and lp.attempt(hi):
-                        cur = self.now
-                    retry = lp.retry_at
-                else:
-                    retry = None
-                if not bidx:
-                    if over:
-                        # wheel empty: jump the window to the overflow head
-                        t0 = over[0][0]
-                        if hi is not None and t0 > hi:
-                            self.now = cur = hi
-                            return hi
-                        idx0 = t0 >> SHIFT
-                        self._wpos = idx0
-                        nl = idx0 + SLOTS
-                        self._wlimit = nl
-                        while over and over[0][0] >> SHIFT < nl:
-                            e = heappop(over)
-                            i0 = e[0] >> SHIFT
-                            lst = slots[i0 & MASK]
-                            lst.append(e)
-                            if len(lst) == 1:
-                                insort(bidx, i0)
-                        continue
-                    # fully drained: the cursor may sit ahead of ``now``
-                    # after dead-only buckets; restart the window where
-                    # the drain hooks (and post-run callers) will insert
-                    self._retreat_window()
-                    t = self._drained()
-                    if t is None:
-                        if nowq:
-                            # a drain hook posted at ``now``: merge
-                            self._flush_nowq()
-                        continue
-                    return t
-                pos = bidx[0]
-                bstart = pos << SHIFT
-                if hi is not None and bstart > hi:
-                    # every queued event is past the bound.  The window
-                    # start only ever committed to buckets <= hi's, so
-                    # inserts after this return cannot alias.
-                    self.now = cur = hi
-                    return hi
-                if pos != self._wpos:
-                    # commit the window start and migrate any overflow
-                    # the longer horizon now covers
-                    self._wpos = pos
-                    nl = pos + SLOTS
-                    if nl > self._wlimit:
-                        self._wlimit = nl
-                        while over and over[0][0] >> SHIFT < nl:
-                            e = heappop(over)
-                            i0 = e[0] >> SHIFT
-                            lst = slots[i0 & MASK]
-                            lst.append(e)
-                            if len(lst) == 1:
-                                insort(bidx, i0)
-                careful = budget is not None or (
-                    hi is not None and bstart + (1 << SHIFT) > hi
-                )
-                # ---- drain bucket ``pos`` in place as a tiny heap ----
-                # ``_aend``/``_abuc`` redirect the bucket's own
-                # same-bucket arrivals to heappush straight into
-                # ``batch``; at-``now`` arrivals go to the ``nowq`` FIFO
-                # instead.
-                batch = slots[pos & MASK]
-                if len(batch) > 1:
-                    heapify(batch)
-                self._abuc = batch
-                self._aend = bstart + (1 << SHIFT) - 1
-                while True:
-                    # ---- drain the instant: at-``now`` arrivals fire
-                    # FIFO, which IS (time, seq) order (see class doc) —
-                    # unless older ties still sit at the batch head.
-                    # Checked at the top so every pop path (fires AND
-                    # dead-entry skims) reconsiders the FIFO before
-                    # advancing past the instant.
-                    if nowq and not (batch and batch[0][0] == cur):
-                        i = 0
-                        try:
-                            while i < len(nowq):
-                                e = nowq[i]
-                                efn = e[2]
-                                if efn is None:
-                                    ev = e[3]
-                                    if not ev.alive:
-                                        i += 1
-                                        if ev._pooled:
-                                            ev.fn = ev.args = None
-                                            if len(pool) < POOL_CAP:
-                                                pool.append(ev)
-                                        continue
-                                if budget is not None:
-                                    if budget == 0:
-                                        del nowq[:i]
-                                        return self.now
-                                    budget -= 1
-                                i += 1
-                                nfired += 1
-                                ndone += 1
-                                if efn is not None:
-                                    efn(*e[3])
-                                else:
-                                    ev._engine = None
-                                    efn = ev.fn
-                                    eargs = ev.args
-                                    if ev._pooled:
-                                        ev.fn = ev.args = None
-                                        if len(pool) < POOL_CAP:
-                                            pool.append(ev)
-                                    efn(*eargs)
-                        except BaseException:
-                            # drop the fired prefix (the raiser included,
-                            # matching the heap core: it counts as fired
-                            # and must not refire on resume)
-                            del nowq[:i]
-                            raise
-                        nowq.clear()
-                        continue  # instant callbacks may have refilled batch
-                    if not batch:
-                        del bidx[0]
-                        break
-                    if careful:
-                        # mirror the heap core's bounded loop: skim dead
-                        # handles first, apply the bounds against a live
-                        # head, count only fired events against budget
-                        e0 = batch[0]
-                        if e0[2] is None and not e0[3].alive:
-                            heappop(batch)
-                            ev = e0[3]
-                            if ev._pooled:
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
-                            continue
-                        if hi is not None and e0[0] > hi:
-                            self.now = cur = hi
-                            return hi
-                        if budget is not None:
-                            if budget == 0:
-                                return self.now
-                            budget -= 1
-                    t, s, fn, a = heappop(batch)
-                    if fn is not None:
-                        if t != cur:
-                            if retry is not None and cur >= retry and lp.armed:
-                                # the leap's bounding event has fired:
-                                # leave the bucket in place (nowq is
-                                # empty here) and retry from the top
-                                heappush(batch, (t, s, fn, a))
-                                break
-                            self.now = cur = t
-                        nfired += 1
-                        ndone += 1
-                        fn(*a)
-                    else:
-                        ev = a
-                        if ev.alive:
-                            if t != cur:
-                                if retry is not None and cur >= retry and lp.armed:
-                                    heappush(batch, (t, s, fn, a))
-                                    break
-                                self.now = cur = t
-                            nfired += 1
-                            ndone += 1
-                            ev._engine = None
-                            efn = ev.fn
-                            eargs = ev.args
-                            if ev._pooled:
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
-                            efn(*eargs)
-                        elif ev._pooled:  # recycle cancelled carriers
-                            ev.fn = ev.args = None
-                            if len(pool) < POOL_CAP:
-                                pool.append(ev)
-                self._aend = -1
-                self._abuc = None
-        finally:
-            self.fired += nfired
-            if ndone:
-                self._live -= ndone
-            self._aend = -1
-            self._abuc = None
-            self._running = False
-
-
-class HeapEngine(Engine):
-    """The original binary-heap core, kept as the A/B reference.
-
-    Heap entries are plain ``(time, seq, event)`` tuples so heap sift
-    compares at C speed (``seq`` breaks ties, the Event is never
-    compared).  Fire-and-forget posts recycle their Event carriers
-    through the engine's free pool.
-    """
-
-    is_wheel = False
-
-    def __init__(self, core: Optional[str] = None) -> None:
-        super().__init__(core)
-        self._heap: list[tuple[int, int, Event]] = []
-
-    # ------------------------------------------------------------------
-    # scheduling — cancellable handles
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now.
-
-        ``delay`` must be non-negative and finite; fractional delays are
-        rounded up so a nonzero delay never becomes zero.
-        """
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now + delay, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        heappush(self._heap, (ev.time, seq, ev))
-        return ev
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        heappush(self._heap, (ev.time, seq, ev))
-        return ev
-
-    # ------------------------------------------------------------------
-    # scheduling — fire-and-forget fast path (pooled, no handle)
-    # ------------------------------------------------------------------
-    def _carrier(self, time: int, seq: int, fn: Callable[..., Any], args: tuple) -> Event:
-        """Check a fire-and-forget carrier out of the free pool (or make
-        a fresh poolable one) — the acquisition half of the recycling
-        protocol, shared by all three ``post*`` entry points."""
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.alive = True
-        else:
-            ev = Event(time, seq, fn, args)
-            ev._pooled = True
-        return ev
-
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, carrier recycled."""
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`call_soon`."""
-        time = self.now
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def next_external_time(self, carriers: set) -> Optional[int]:
-        """See :meth:`Engine.next_external_time`.  Linear scan — the
-        heap core has no tier structure to exploit, and the scan runs
-        only on leap attempts (not per event)."""
-        best = None
-        for e in self._heap:
-            ev = e[2]
-            if not ev.alive or ev in carriers:
-                continue
-            if best is None or e[0] < best:
-                best = e[0]
-        return best
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or None if the heap is drained."""
-        self._skim()
-        return self._heap[0][0] if self._heap else None
-
-    def _skim(self) -> None:
-        """Pop dead events off the heap top, recycling pooled carriers
-        (dropping them would starve the pool under cancel-heavy load)."""
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            ev = heappop(heap)[2]
-            if ev._pooled:
-                self._recycle(ev)
-
-    def _fire(self, ev: Event) -> None:
-        """Run one popped live event (clock already advanced)."""
-        self.fired += 1
-        self._live -= 1
-        ev._engine = None
-        fn = ev.fn
-        args = ev.args
-        if ev._pooled:
-            ev.fn = ev.args = None  # drop references before the pool
-            if len(self._pool) < POOL_CAP:
-                self._pool.append(ev)
-        fn(*args)
-
-    def step(self) -> bool:
-        """Run the single next live event.  Returns False if none exist."""
-        self._skim()
-        if not self._heap:
-            return False
-        time, _, ev = heappop(self._heap)
-        if time < self.now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event heap produced a past event")
-        self.now = time
-        self._fire(ev)
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the heap drains, ``until`` ns is reached, or
-        ``max_events`` callbacks fired.  Returns the virtual time.
-
-        Draining with blocked actors raises :class:`DeadlockError` — a
-        simulation that silently stops with threads still waiting is almost
-        always a bug in the caller's protocol.
-        """
-        if self._running:
-            raise SimulationError("engine.run() is not reentrant")
-        self._running = True
-        fired_at_entry = self.fired
         heap = self._heap
         pool = self._pool
         pop = heappop
-        bounded = until is not None or max_events is not None
+        # Fired events are counted in a local and flushed (into ``fired``
+        # and the live count) on every exit path: callbacks only post
+        # events, and counters are inspected after run() returns.
+        nfired = 0
         try:
-            if not bounded:
-                # Hot loop: no bound checks, locals only, :meth:`_fire`
-                # inlined (one Python call per event is measurable here).
-                # ``fired`` is accumulated in a local and flushed on every
-                # exit path — nothing reads it mid-run (callbacks only post
-                # events; counters are inspected after run() returns).
-                nfired = 0
-                try:
-                    while True:
-                        lp = self.leap
-                        if lp is not None and lp.armed:
-                            lp.attempt(None)
-                        if not heap:
-                            t = self._drained()
-                            if t is None:
-                                continue
-                            return t
-                        # Pop first, check liveness after: saves the peek
-                        # (heap[0][2] + .alive) that the common live event
-                        # would otherwise pay before its own pop.
-                        time, _, ev = pop(heap)
-                        if not ev.alive:
-                            if ev._pooled:  # recycle cancelled carriers too
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
-                            continue
-                        self.now = time
-                        nfired += 1
-                        self._live -= 1
-                        fn = ev.fn
-                        args = ev.args
-                        if ev._pooled:
-                            ev.fn = ev.args = None  # drop refs before pooling
-                            if len(pool) < POOL_CAP:
-                                pool.append(ev)
-                        else:
-                            # handles must forget the engine once fired, so a
-                            # late cancel() cannot corrupt the live count
-                            ev._engine = None
-                        fn(*args)
-                finally:
-                    self.fired += nfired
             while True:
-                if max_events is not None and self.fired - fired_at_entry >= max_events:
-                    return self.now
-                # bounded-run leap: only without an event budget (a leap
-                # fires many events at once, uncountable against one)
                 lp = self.leap
-                if lp is not None and lp.armed and max_events is None:
+                if lp is not None and lp.armed:
                     lp.attempt(until)
-                while heap:
-                    ev = heap[0][2]
-                    if ev.alive:
-                        break
-                    pop(heap)
-                    if ev._pooled:
-                        ev.fn = ev.args = None
-                        if len(pool) < POOL_CAP:
-                            pool.append(ev)
                 if not heap:
                     t = self._drained()
                     if t is None:
                         continue
                     return t
-                time = heap[0][0]
-                if until is not None and time > until:
+                # Pop first, check liveness and the bound after: the
+                # common live event pays no peek before its own pop.
+                e = pop(heap)
+                time, _, fn, args = e
+                if fn is None:
+                    ev = args
+                    if not ev.alive:
+                        if ev._pooled:  # recycle cancelled carriers too
+                            ev.fn = ev.args = None
+                            if len(pool) < POOL_CAP:
+                                pool.append(ev)
+                        continue
+                    if until is not None and time > until:
+                        heappush(heap, e)
+                        self.now = until
+                        return until
+                    # handles must forget the engine once fired, so a
+                    # late cancel() cannot corrupt the live count
+                    ev._engine = None
+                    fn = ev.fn
+                    args = ev.args
+                    if ev._pooled:
+                        ev.fn = ev.args = None  # drop refs before pooling
+                        if len(pool) < POOL_CAP:
+                            pool.append(ev)
+                elif until is not None and time > until:
+                    heappush(heap, e)
                     self.now = until
-                    return self.now
-                _, _, ev = pop(heap)
+                    return until
                 self.now = time
-                self.fired += 1
-                self._live -= 1
-                ev._engine = None
-                fn = ev.fn
-                args = ev.args
-                if ev._pooled:
-                    ev.fn = ev.args = None
-                    if len(pool) < POOL_CAP:
-                        pool.append(ev)
+                nfired += 1
                 fn(*args)
         finally:
+            self.fired += nfired
+            self._live -= nfired
             self._running = False
+
+    def run_until_idle(self) -> int:
+        """Alias of :meth:`run` with no bound — runs to a fully drained queue."""
+        return self.run()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Engine now={self.now}ns pending={self.pending()} fired={self.fired}>"

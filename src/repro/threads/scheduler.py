@@ -26,12 +26,10 @@ busy time — lives in parallel lists (``_rqs``/``_cur``/``_preempt``/
 ``_busy``) indexed by core id rather than as attributes of the
 :class:`CoreState` objects, and the engine posts it pre-built
 ``(core_id, thread)`` args tuples interned on the thread.  Event posts
-on this path are inlined against the engine's queue layout (chosen by
-``engine.is_wheel``): same-instant events go to the wheel's ``_nowq``
-FIFO, short-horizon events heappush into the actively draining bucket
-(``t <= engine._aend``, one compare), and everything else takes the
-engine's ``_insert`` cold path — or a plain heap push on the legacy
-heap core.
+on this path are inlined: a fire-and-forget post is one ``heappush``
+of a ``(time, seq, fn, args)`` tuple onto ``engine._heap``, and a
+cancellable carrier (Compute completion, sleep timer) comes from the
+engine's free pool via ``engine._checkout`` (see :mod:`repro.sim.engine`).
 
 Doorbells
 ---------
@@ -52,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 from heapq import heappush
 
 from repro.obs.histogram import Histogram
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.rng import Rng
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.threads.flag import Flag
@@ -201,9 +199,6 @@ class Scheduler:
         self._cur: list[Optional[SimThread]] = [None] * ncores
         self._preempt: list[bool] = [False] * ncores
         self._busy: list[int] = [0] * ncores
-        #: interned ``(core_id,)`` argument tuples for the inlined
-        #: ``post_soon(self._dispatch, cid)`` dispatch kicks
-        self._cid_args: list[tuple[int]] = [(i,) for i in range(ncores)]
         #: per-core marker: the idle generator is suspended at the fast
         #: path's batched-Compute yield (set/cleared by the idle body
         #: around that one yield).  The quiescence leap needs this to
@@ -504,18 +499,7 @@ class Scheduler:
         self._rqs[cid].append(thread)
         cur = self._cur[cid]
         if cur is None:
-            # engine.post_soon inlined on the wheel core: a dispatch kick
-            # is a same-instant event, i.e. one FIFO append
-            engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[cid])
-                )
-            else:
-                engine.post_soon(self._dispatch, cid)
+            self.engine.post_soon(self._dispatch, cid)
         elif thread.prio < cur.prio:
             self._preempt[cid] = True
             if cur.spin_cancel is not None:
@@ -563,41 +547,13 @@ class Scheduler:
         seq = engine._seq
         engine._seq = seq + 1
         engine._live += 1
-        if engine.is_wheel:
-            if t == engine.now:
-                engine._nowq.append((t, seq, self._advance, nxt.adv_args))
-            elif t <= engine._aend:
-                heappush(engine._abuc, (t, seq, self._advance, nxt.adv_args))
-            else:
-                engine._insert((t, seq, self._advance, nxt.adv_args))
-        else:
-            pool = engine._pool
-            if pool:
-                ev = pool.pop()
-                ev.time = t
-                ev.seq = seq
-                ev.fn = self._advance
-                ev.args = nxt.adv_args
-                ev.alive = True
-            else:
-                ev = Event(t, seq, self._advance, nxt.adv_args)
-                ev._pooled = True
-            heappush(engine._heap, (t, seq, ev))
+        heappush(engine._heap, (t, seq, self._advance, nxt.adv_args))
 
     def _release_core(self, core_id: int) -> None:
         self._cur[core_id] = None
         self._preempt[core_id] = False
         if self._rqs[core_id]:
-            engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[core_id])
-                )
-            else:
-                engine.post_soon(self._dispatch, core_id)
+            self.engine.post_soon(self._dispatch, core_id)
 
     # -- keypoint hook injection ---------------------------------------
     def _maybe_inject_hook(
@@ -731,7 +687,7 @@ class Scheduler:
         engine = self.engine
         thread.instr_start = engine.now
         # The single hottest branch — a Compute slice — is inlined here
-        # (including the engine's queue insert): _advance runs once per
+        # (down to the engine's carrier checkout): _advance runs once per
         # instruction, and the call fan-out dominates host time.
         if instr.__class__ is Compute:
             ns = instr.ns
@@ -750,28 +706,7 @@ class Scheduler:
                 # Pooled carrier is safe here: the handle in compute_event
                 # is dropped at the top of _advance (the completion
                 # callback) before any other engine work can reuse it.
-                pool = engine._pool
-                if pool:
-                    ev = pool.pop()
-                    ev.time = t
-                    ev.seq = seq
-                    ev.fn = self._advance
-                    ev.args = thread.adv_args
-                    ev.alive = True
-                else:
-                    ev = Event(t, seq, self._advance, thread.adv_args)
-                    ev._pooled = True
-                ev._engine = engine
-                engine._live += 1
-                if engine.is_wheel:
-                    if t == now:
-                        engine._nowq.append((t, seq, None, ev))
-                    elif t <= engine._aend:
-                        heappush(engine._abuc, (t, seq, None, ev))
-                    else:
-                        engine._insert((t, seq, None, ev))
-                else:
-                    heappush(engine._heap, (t, seq, ev))
+                ev = engine._checkout(t, seq, self._advance, thread.adv_args)
                 thread.compute_event = (ev, now, slice_ns)
                 return
         self._exec(cid, thread, instr)
@@ -796,14 +731,7 @@ class Scheduler:
         self._rr_seq += 1
         self._rqs[cid].append(thread)
         self._cur[cid] = None
-        engine = self.engine
-        if engine.is_wheel:
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._live += 1
-            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
-        else:
-            engine.post_soon(self._dispatch, cid)
+        self.engine.post_soon(self._dispatch, cid)
 
     def _cancel_spin(self, cid: int, thread: SimThread) -> None:
         """Preempt a busy-spinning thread (timer/priority): deregister its
@@ -851,26 +779,7 @@ class Scheduler:
         seq = engine._seq
         engine._seq = seq + 1
         engine._live += 1
-        if engine.is_wheel:
-            if t == engine.now:
-                engine._nowq.append((t, seq, self._advance, thread.adv_args))
-            elif t <= engine._aend:
-                heappush(engine._abuc, (t, seq, self._advance, thread.adv_args))
-            else:
-                engine._insert((t, seq, self._advance, thread.adv_args))
-        else:
-            pool = engine._pool
-            if pool:
-                ev = pool.pop()
-                ev.time = t
-                ev.seq = seq
-                ev.fn = self._advance
-                ev.args = thread.adv_args
-                ev.alive = True
-            else:
-                ev = Event(t, seq, self._advance, thread.adv_args)
-                ev._pooled = True
-            heappush(engine._heap, (t, seq, ev))
+        heappush(engine._heap, (t, seq, self._advance, thread.adv_args))
 
     def interrupt_compute(self, core_id: int) -> bool:
         """Interrupt the current thread's in-flight Compute slice (the
@@ -963,25 +872,8 @@ class Scheduler:
                     # engine.post_soon inlined (one grant per acquisition)
                     seq = engine._seq
                     engine._seq = seq + 1
-                    t = engine.now
                     engine._live += 1
-                    if engine.is_wheel:
-                        # a grant always lands at ``now``: straight to the
-                        # same-instant FIFO
-                        engine._nowq.append((t, seq, self._advance, thread.adv_args))
-                    else:
-                        pool = engine._pool
-                        if pool:
-                            ev = pool.pop()
-                            ev.time = t
-                            ev.seq = seq
-                            ev.fn = self._advance
-                            ev.args = thread.adv_args
-                            ev.alive = True
-                        else:
-                            ev = Event(t, seq, self._advance, thread.adv_args)
-                            ev._pooled = True
-                        heappush(engine._heap, (t, seq, ev))
+                    heappush(engine._heap, (engine.now, seq, self._advance, thread.adv_args))
                 else:  # pragma: no cover - defensive; cancel prevents this
                     raise RuntimeError(
                         f"lock {instr.lock.name!r} granted to descheduled "
@@ -1016,9 +908,9 @@ class Scheduler:
         elif cls is Sleep:
             ns = instr.ns
             if type(ns) is int and ns >= 0:
-                # engine.schedule inlined with a pooled carrier: idle
-                # re-polls sleep once per pass, making this the third-
-                # hottest event source.  The handle stays cancellable
+                # engine.schedule with a pooled carrier: idle re-polls
+                # sleep once per pass, making this the third-hottest
+                # event source.  The handle stays cancellable
                 # (doorbells cancel it), so the engine ref is kept for
                 # live-count upkeep; every cancel site drops the handle
                 # immediately, which keeps recycling safe.
@@ -1026,29 +918,9 @@ class Scheduler:
                 seq = engine._seq
                 engine._seq = seq + 1
                 t = engine.now + ns
-                pool = engine._pool
-                if pool:
-                    ev = pool.pop()
-                    ev.time = t
-                    ev.seq = seq
-                    ev.fn = self._sleep_wake
-                    ev.args = thread.wake_args
-                    ev.alive = True
-                else:
-                    ev = Event(t, seq, self._sleep_wake, thread.wake_args)
-                    ev._pooled = True
-                ev._engine = engine
-                engine._live += 1
-                if engine.is_wheel:
-                    if ns == 0:
-                        engine._nowq.append((t, seq, None, ev))
-                    elif t <= engine._aend:
-                        heappush(engine._abuc, (t, seq, None, ev))
-                    else:
-                        engine._insert((t, seq, None, ev))
-                else:
-                    heappush(engine._heap, (t, seq, ev))
-                thread.sleep_event = ev
+                thread.sleep_event = engine._checkout(
+                    t, seq, self._sleep_wake, thread.wake_args
+                )
                 self._block(cid, thread, "sleep")
                 # an idle thread re-entering its sleeping steady state is
                 # the quiescence-leap trigger; arming is a hint only —
@@ -1067,16 +939,7 @@ class Scheduler:
             self._rqs[cid].append(thread)
             self._cur[cid] = None
             self._preempt[cid] = False
-            engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[cid])
-                )
-            else:
-                engine.post_soon(self._dispatch, cid)
+            self.engine.post_soon(self._dispatch, cid)
         elif cls is SpinOn:
             cost = instr.flag.read(cid)
             if instr.flag.is_set:

@@ -10,11 +10,10 @@ import repro
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def perf_quick(out, *, leap: str, core: str) -> dict:
+def perf_quick(out, *, leap: str) -> dict:
     """Run ``python -m repro.bench perf --quick --out OUT`` in a fresh
-    process with ``REPRO_LEAP``/``REPRO_ENGINE_CORE`` set; return the
-    scenarios by name."""
-    env = dict(os.environ, REPRO_LEAP=leap, REPRO_ENGINE_CORE=core)
+    process with ``REPRO_LEAP`` set; return the scenarios by name."""
+    env = dict(os.environ, REPRO_LEAP=leap)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )

@@ -6,8 +6,8 @@ full metrics snapshot (no counters stripped), events fired, final
 virtual time, the engine's internal seq/live accounting, the
 scheduler's run-queue arrival numbering and each idle thread's own
 bookkeeping.  These tests drive randomized workloads across topologies
-(including the 24-core chiplet machine the leap was built for), fault
-plans and both engine cores, and assert that agreement to the bit.
+(including the 24-core chiplet machine the leap was built for) and
+fault plans, and assert that agreement to the bit.
 """
 
 import random
@@ -45,7 +45,6 @@ def _run(
     *,
     leap: bool,
     machine_name: str = "ccx24",
-    engine_core: str = "wheel",
     seed: int = 7,
     duration_us: int = 400,
     gaps_us=(25,),
@@ -55,7 +54,7 @@ def _run(
     """One seeded spin-polling run; returns every observable we gate on."""
     duration = duration_us * 1_000
     machine = MACHINES[machine_name]()
-    engine = Engine(core=engine_core)
+    engine = Engine()
     registry = MetricsRegistry()
     # NB: an empty Tracer is falsy (it has __len__), so `tracer or ...`
     # would silently drop an enabled-but-empty tracer
@@ -137,7 +136,7 @@ _PLANS = [
 
 
 def test_leap_identity_fuzz():
-    """Randomized sweep: topologies x engine cores x fault plans x seeds.
+    """Randomized sweep: topologies x fault plans x seeds.
 
     Config sampling is itself seeded, so a failure reproduces; each
     sampled config runs leap-on vs leap-off and must agree on every
@@ -149,7 +148,6 @@ def test_leap_identity_fuzz():
     for trial in range(8):
         cfg = dict(
             machine_name=rng.choice(["ccx24", "borderline", "kwak"]),
-            engine_core=rng.choice(["wheel", "heap"]),
             seed=rng.randrange(1_000_000),
             duration_us=rng.choice([200, 350, 500]),
             gaps_us=rng.choice([(25,), (40,), (15, 60), (10, 30, 80)]),
@@ -166,27 +164,22 @@ def test_leap_identity_fuzz():
     assert total_leaps > 0, "fuzz sweep never leaped — gates are too strict"
 
 
-@pytest.mark.parametrize("engine_core", ["wheel", "heap"])
-def test_leap_identity_ccx24_both_cores(engine_core):
+def test_leap_identity_ccx24():
     """The headline config: deep chiplet machine, long idle stretches.
-    Identity must hold on both engine cores and the leap must engage."""
-    on = _run(leap=True, engine_core=engine_core, duration_us=600)
-    off = _run(leap=False, engine_core=engine_core, duration_us=600)
+    Identity must hold and the leap must engage."""
+    on = _run(leap=True, duration_us=600)
+    off = _run(leap=False, duration_us=600)
     _assert_identical(on, off)
     assert on["leaps"] > 0
 
 
 @pytest.mark.parametrize("machine_name", ["borderline", "kwak"])
-@pytest.mark.parametrize("engine_core", ["wheel", "heap"])
-def test_leap_identity_when_the_run_bound_ends_a_long_leap(
-    machine_name, engine_core
-):
+def test_leap_identity_when_the_run_bound_ends_a_long_leap(machine_name):
     """The run's last leap crosses a long idle stretch and stops at
     ``until``: the periodicity fast-forward skips most of it, and in the
     short explicit tail some cores complete a cycle without waking again.
     Their last run-queue seq must then come from the fast-forward."""
-    cfg = dict(machine_name=machine_name, engine_core=engine_core,
-               duration_us=150, gaps_us=(40,))
+    cfg = dict(machine_name=machine_name, duration_us=150, gaps_us=(40,))
     on = _run(leap=True, **cfg)
     off = _run(leap=False, **cfg)
     _assert_identical(on, off)
@@ -251,24 +244,22 @@ def test_leap_actually_elides_events():
 
 
 #: submit gaps of 1-3 us put several external events inside every 4,096 ns
-#: wheel bucket, so a leap is almost always stopped by an event in the
-#: middle of a bucket
+#: of virtual time, so a leap is almost always stopped by an event less
+#: than one cooldown away
 _DENSE = dict(duration_us=200, gaps_us=(1, 2, 3))
 
 
-@pytest.mark.parametrize("engine_core", ["wheel", "heap"])
-def test_leap_reenters_right_after_its_bounding_event(engine_core):
-    """With external events well inside one wheel bucket, the leap must
-    retry as soon as the event that stopped it has fired — not at the next
-    bucket boundary — and stay bit-identical doing so.
+def test_leap_reenters_right_after_its_bounding_event():
+    """With external events a few microseconds apart, the leap must
+    retry as soon as the event that stopped it has fired — not after a
+    cooldown — and stay bit-identical doing so.
 
-    The floor is on the share of all idle passes the leap elided.  Leaping
-    only at bucket boundaries, with a bucket-long cooldown after a short
-    failure, elides 8.6% of them on the wheel (14.7% on the heap); the
-    event-driven retry elides about 94% on both.
+    The floor is on the share of all idle passes the leap elided.  With a
+    4,096 ns cooldown after every short failure instead, the leap elides
+    under 15% of them; the event-driven retry elides about 94%.
     """
-    on = _run(leap=True, engine_core=engine_core, **_DENSE)
-    off = _run(leap=False, engine_core=engine_core, **_DENSE)
+    on = _run(leap=True, **_DENSE)
+    off = _run(leap=False, **_DENSE)
     _assert_identical(on, off)
     passes = sum(
         v for k, v in on["snapshot"].items() if k.endswith(".schedule_passes")
@@ -281,7 +272,7 @@ def test_short_failure_waits_for_its_bound_without_scanning(monkeypatch):
     """An attempt that stops short of ``min_cycles`` (the next external
     event is too close) is not a cooldown: it records that event's time
     as ``retry_at``, and no further O(cores) scan (``_attempt`` call) may
-    happen before the clock reaches it.  The heap core offers the leap on
+    happen before the clock reaches it.  The engine offers the leap on
     every armed event, so this is what keeps it from scanning per event.
     """
     # the class PIOMan instantiates (a reload of repro.core.leap elsewhere
@@ -299,7 +290,7 @@ def test_short_failure_waits_for_its_bound_without_scanning(monkeypatch):
         return leaped
 
     monkeypatch.setattr(QuiescenceLeap, "_attempt", counting_scan)
-    _run(leap=True, engine_core="heap", **_DENSE)
+    _run(leap=True, **_DENSE)
     short = [(now, retry) for now, retry, is_short in scans if is_short]
     assert len(short) > 100, "the dense workload must fail short often"
     assert all(retry > now for now, retry in short)

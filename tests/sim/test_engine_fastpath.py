@@ -1,11 +1,12 @@
-"""The fire-and-forget fast path: post/post_at/post_soon, carrier pooling,
-non-finite delay rejection, and O(1) pending bookkeeping."""
+"""The fire-and-forget fast path (post/post_at/post_soon), the pooled
+cancellable carriers, non-finite delay rejection, and O(1) pending
+bookkeeping."""
 
 import math
 
 import pytest
 
-from repro.sim.engine import Engine
+from repro.sim.engine import POOL_CAP, Engine
 
 
 def test_post_orders_with_schedule():
@@ -68,29 +69,66 @@ def test_fractional_delay_rounds_up():
     assert times == [1, 2]
 
 
-def test_pool_recycles_carriers():
-    """Fire-and-forget carriers are reused instead of reallocated.
+def _pooled(eng, delay, fn, *args):
+    """Check a pooled cancellable carrier out the way the scheduler's
+    sleep and Compute paths do: allocate a seq, then queue the carrier."""
+    seq = eng._seq
+    eng._seq = seq + 1
+    return eng._checkout(eng.now + delay, seq, fn, args)
 
-    Heap core only: the wheel core posts carrier-free tuples."""
-    eng = Engine(core="heap")
+
+def test_posts_need_no_carrier():
+    eng = Engine()
     for _ in range(5):
         eng.post(1, lambda: None)
+    eng.post_soon(lambda: None)
+    eng.run()
+    assert eng.fired == 6
+    assert not eng._pool
+
+
+def test_pool_recycles_carriers():
+    """Pooled cancellable carriers are reused instead of reallocated."""
+    eng = Engine()
+    for _ in range(5):
+        _pooled(eng, 1, lambda: None)
     eng.run()
     assert len(eng._pool) == 5
     ids = {id(ev) for ev in eng._pool}
     for _ in range(5):
-        eng.post(1, lambda: None)
+        _pooled(eng, 1, lambda: None)
     assert not eng._pool  # all five were taken back out
     eng.run()
     assert {id(ev) for ev in eng._pool} == ids
 
 
 def test_pooled_carrier_drops_references_after_fire():
-    eng = Engine(core="heap")
-    eng.post(1, lambda x: None, "payload")
+    eng = Engine()
+    _pooled(eng, 1, lambda x: None, "payload")
     eng.run()
     (ev,) = eng._pool
     assert ev.fn is None and ev.args is None
+
+
+def test_pool_cap_bounds_free_list():
+    eng = Engine()
+    for _ in range(POOL_CAP + 500):
+        _pooled(eng, 1, lambda: None)
+    eng.run()
+    assert len(eng._pool) == POOL_CAP
+
+
+def test_peek_recycles_cancelled_pooled_carriers():
+    """peek_time returns dead pooled carriers to the pool, not drops
+    them; a caller-owned handle never enters the pool."""
+    eng = Engine()
+    ev = eng.schedule(5, lambda: None)
+    carrier = _pooled(eng, 3, lambda: None)
+    carrier.cancel()
+    ev.cancel()
+    assert eng.peek_time() is None
+    assert eng._pool == [carrier]
+    assert carrier.fn is None and carrier.args is None
 
 
 def test_pending_is_consistent_with_posts_and_cancels():
@@ -129,14 +167,13 @@ def test_cancelled_pooled_events_are_skipped_and_recycled():
     seen = []
     eng.post(1, seen.append, "first")
     eng.run()
-    # Reuse the pooled carrier through the handle-returning API by hand:
-    # post then cancel via a handle taken from schedule.
-    ev = eng.schedule(5, seen.append, "cancelled")
+    ev = _pooled(eng, 5, seen.append, "cancelled")
     eng.post(9, seen.append, "last")
     ev.cancel()
     eng.run()
     assert seen == ["first", "last"]
     assert eng.fired == 2
+    assert eng._pool == [ev]
 
 
 def test_fired_counter_flushed_on_normal_return():

@@ -1,38 +1,25 @@
-"""``Engine.next_external_time`` edge cases on both cores.
+"""``Engine.next_external_time`` edge cases.
 
 The quiescence leap and the shard coordinator both lean on this one
 read-only query: the earliest live queued event that is not an elidable
 idle carrier.  A wrong answer either stalls a shard window (too late) or
 violates the conservative-lookahead guarantee (too early), so the edge
-cases get pinned here on both cores: the empty-engine sentinel,
-overflow-heap-only wheel state, dead pooled carriers sitting at the
-head, carrier exclusion, and a randomized wheel-vs-heap agreement fuzz.
+cases get pinned here: the empty-engine sentinel, dead pooled carriers
+sitting at the head, carrier exclusion, and a randomized check of the
+pruned heap walk against a plain linear scan.
 """
 
 import random
 
-import pytest
-
-from repro.sim.engine import (
-    WHEEL_SHIFT,
-    WHEEL_SLOTS,
-    Engine,
-    HeapEngine,
-    WheelEngine,
-)
-
-HORIZON_NS = WHEEL_SLOTS << WHEEL_SHIFT
-
-CORES = ("wheel", "heap")
+from repro.sim.engine import Engine
 
 
 def _noop():
     pass
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_empty_engine_returns_none(core):
-    eng = Engine(core=core)
+def test_empty_engine_returns_none():
+    eng = Engine()
     assert eng.next_external_time(set()) is None
     # ... and after a drain, not just at birth
     eng.post(10, _noop)
@@ -40,41 +27,16 @@ def test_empty_engine_returns_none(core):
     assert eng.next_external_time(set()) is None
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_single_post_is_external(core):
-    eng = Engine(core=core)
+def test_single_post_is_external():
+    eng = Engine()
     eng.post(1234, _noop)
     assert eng.next_external_time(set()) == 1234
 
 
-def test_overflow_heap_only_wheel_state():
-    """Every event beyond the wheel window: the wheel tiers are empty and
-    the answer must come from the overflow heap alone."""
-    eng = WheelEngine()
-    far = HORIZON_NS * 3 + 17
-    eng.post_at(far + 500, _noop)
-    eng.post_at(far, _noop)
-    eng.post_at(far + 9_999_999, _noop)
-    assert not any(eng._slots), "events unexpectedly landed in the wheel"
-    assert not eng._nowq
-    assert eng.next_external_time(set()) == far
-
-
-def test_overflow_only_after_cancel_in_window():
-    """Cancel the only in-window event; the overflow minimum wins."""
-    eng = WheelEngine()
-    handle = eng.schedule(100, _noop)
-    far = HORIZON_NS * 2
-    eng.post_at(far, _noop)
-    handle.cancel()
-    assert eng.next_external_time(set()) == far
-
-
-@pytest.mark.parametrize("core", CORES)
-def test_dead_carriers_at_head_are_skipped(core):
+def test_dead_carriers_at_head_are_skipped():
     """Cancelled (pooled-dead) carriers at the queue head must not be
     reported — and the query must not pop or recycle them either."""
-    eng = Engine(core=core)
+    eng = Engine()
     dead = [eng.schedule(t, _noop) for t in (5, 6, 7)]
     eng.post(5_000, _noop)
     for handle in dead:
@@ -83,22 +45,21 @@ def test_dead_carriers_at_head_are_skipped(core):
     assert eng.next_external_time(set()) == 5_000
     # read-only contract: the dead entries are still physically queued
     assert eng.pending() == before
+    assert len(eng._heap) == 4
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_all_dead_returns_none(core):
-    eng = Engine(core=core)
+def test_all_dead_returns_none():
+    eng = Engine()
     handles = [eng.schedule(t, _noop) for t in (3, 9, 27)]
     for handle in handles:
         handle.cancel()
     assert eng.next_external_time(set()) is None
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_carriers_are_excluded(core):
+def test_carriers_are_excluded():
     """Handles classified as idle carriers don't bound the leap; the
     first non-carrier behind them does."""
-    eng = Engine(core=core)
+    eng = Engine()
     carrier = eng.schedule(10, _noop)
     external = eng.schedule(400, _noop)
     assert eng.next_external_time(set()) == 10
@@ -106,69 +67,44 @@ def test_carriers_are_excluded(core):
     assert eng.next_external_time({carrier, external}) is None
 
 
-def test_same_instant_fifo_bounds_at_now():
-    """A pending same-instant entry means the leap can't move at all:
-    the wheel reports ``now`` without touching its calendar tiers."""
-    eng = WheelEngine()
-    eng.post(50, _noop)
-    eng.run()
-    assert eng.now == 50
-    eng.post_soon(_noop)  # lands in the nowq outside a run
-    eng.post(7_000, _noop)
-    assert eng.next_external_time(set()) == 50
-
-
-@pytest.mark.parametrize("core", CORES)
-def test_later_bucket_external_behind_carrier_bucket(core):
-    """A bucket (or heap head) that is pure carriers must not hide an
-    external event in a later bucket."""
-    eng = Engine(core=core)
+def test_external_deep_behind_carrier_head():
+    """A heap top that is pure carriers must not hide an external event
+    deeper in the heap."""
+    eng = Engine()
     carriers = {eng.schedule(8, _noop), eng.schedule(12, _noop)}
-    # far enough to land in a different wheel bucket
-    eng.schedule((1 << WHEEL_SHIFT) * 3 + 5, _noop)
-    assert eng.next_external_time(carriers) == (1 << WHEEL_SHIFT) * 3 + 5
+    eng.schedule(3 * 4096 + 5, _noop)
+    assert eng.next_external_time(carriers) == 3 * 4096 + 5
 
 
-def test_randomized_wheel_heap_agreement():
-    """Both cores, same scripted workload: next_external_time must agree
-    at every checkpoint, for the empty carrier set and for a random
-    subset of live handles."""
+def _linear_scan(eng, carriers):
+    times = [
+        t for t, _, fn, ev in eng._heap
+        if fn is not None or (ev.alive and ev not in carriers)
+    ]
+    return min(times) if times else None
+
+
+def test_randomized_pruned_walk_matches_linear_scan():
+    """Scripted schedule/post/cancel/run mixes: at every checkpoint the
+    pruned walk agrees with a linear scan over the whole heap, for the
+    empty carrier set and for a random subset of live handles."""
     for seed in range(12):
         rng = random.Random(3000 + seed)
-        engines = (WheelEngine(), HeapEngine())
-        handle_pairs = []  # (wheel_handle, heap_handle)
+        eng = Engine()
+        handles = []
         for _step in range(rng.randrange(10, 60)):
             op = rng.random()
             if op < 0.45:
-                delay = rng.choice(
-                    [0, 1, 37, 900, 4096, 8192, HORIZON_NS + 13, HORIZON_NS * 2]
-                )
-                handle_pairs.append(
-                    tuple(eng.schedule(delay, _noop) for eng in engines)
-                )
+                delay = rng.choice([0, 1, 37, 900, 4096, 8192, 1 << 20, 1 << 21])
+                handles.append(eng.schedule(delay, _noop))
             elif op < 0.60:
-                delay = rng.randrange(0, HORIZON_NS * 2)
-                for eng in engines:
-                    eng.post(delay, _noop)
-            elif op < 0.75 and handle_pairs:
-                pair = handle_pairs.pop(rng.randrange(len(handle_pairs)))
-                for handle in pair:
-                    handle.cancel()
+                eng.post(rng.randrange(0, 1 << 21), _noop)
+            elif op < 0.75 and handles:
+                handles.pop(rng.randrange(len(handles))).cancel()
             elif op < 0.9:
-                bound = rng.randrange(0, HORIZON_NS)
-                fired = {eng.run(until=eng.now + bound) for eng in engines}
-                assert len(fired) == 1, "cores diverged while running"
-                handle_pairs = [p for p in handle_pairs if p[0].alive]
-            # checkpoint: plain and carrier-filtered queries agree
-            wheel, heap = engines
-            assert wheel.next_external_time(set()) == heap.next_external_time(
-                set()
-            ), f"seed {3000 + seed}: cores disagree"
-            if handle_pairs:
-                k = rng.randrange(0, len(handle_pairs) + 1)
-                subset = rng.sample(handle_pairs, k)
-                wset = {p[0] for p in subset}
-                hset = {p[1] for p in subset}
-                assert wheel.next_external_time(wset) == heap.next_external_time(
-                    hset
-                ), f"seed {3000 + seed}: carrier-filtered disagreement"
+                eng.run(until=eng.now + rng.randrange(0, 1 << 20))
+                handles = [h for h in handles if h.alive and h.time > eng.now]
+            assert eng.next_external_time(set()) == _linear_scan(eng, set()), seed
+            if handles:
+                subset = set(rng.sample(handles, rng.randrange(0, len(handles) + 1)))
+                assert eng.next_external_time(subset) == _linear_scan(eng, subset), seed
