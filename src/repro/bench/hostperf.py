@@ -3,44 +3,29 @@
 Everything else in :mod:`repro.bench` measures *virtual* nanoseconds —
 the numbers the paper reports.  This module measures the **host**: how
 many simulator events per wall-clock second the discrete-event core
-sustains on a fixed, seeded workload matrix.  Host speed is what gates
-how large fig4 (128 receiver threads), the scalability sweep and
-multi-node cluster runs can get, so it is tracked as a first-class
-number in ``BENCH_host_perf.json``.
+sustains on a fixed, seeded workload matrix (``BENCH_host_perf.json``);
+host speed is what bounds how large fig4, the scalability sweep and
+cluster runs can get.
 
-The matrix deliberately spans the simulator's distinct hot paths:
+The matrix is one table, :data:`MATRIX`, one row per workload: Table-I
+submit→complete round-trips (``micro_local``/``micro_global``), a fig4
+multi-threaded ping-pong over the cluster stack (``latency_mt``), a
+32-core NUMA scalability rung (``scal_numa32``), a 4-node ring
+(``cluster_ring``), idle-heavy spin-polling for the occupancy-summary
+fast path and the quiescence leap (``idle_spin``/``leap_on``),
+:mod:`repro.faults` worlds (``fault_net``/``fault_slowcore``/
+``fault_storm``) and a generated workload run whole and in two shards
+(``cluster_shard2``).
 
-* ``micro_local`` / ``micro_global`` — Table-I-style submit→complete
-  round-trips (engine + PIOMan + queue + lock fast paths);
-* ``latency_mt`` — a fig4-style multi-threaded ping-pong over the full
-  cluster stack (NICs, nmad, MPI, doorbells);
-* ``scal_numa32`` — one rung of the scalability sweep on a 32-core NUMA
-  machine (wide hierarchies, long scan paths);
-* ``cluster_ring`` — a 4-node ring exchange (fabric + multi-node
-  scheduling);
-* ``idle_spin`` / ``idle_spin_nosummary`` — an idle-heavy spin-polling
-  steady state on a deep chiplet machine, run with the occupancy-summary
-  fast path on and off: the pair's ev/s ratio is the fast path's measured
-  speedup, and their virtual outcomes must be identical;
-* ``leap_on`` / ``leap_off`` — the same idle-heavy steady state with the
-  quiescence leap (:mod:`repro.core.leap`) pinned on and off: the pair's
-  ev/s ratio is the leap's measured speedup and their fingerprints must
-  be fully identical (the leap replays every counter);
-* ``fault_net`` / ``fault_slowcore`` / ``fault_storm`` — the same stack
-  under :mod:`repro.faults` injection (packet loss + reorder with
-  timeout retransmit, straggler cores, cancellation storms with
-  lock-holder preemption): hostile worlds are part of the determinism
-  contract too, so their fault counters live in the fingerprints;
-* ``cluster_shard2`` — a generated workload run whole and split into two
-  serial shards (:mod:`repro.cluster.shard`): the pair's fingerprints
-  must be identical, so the perf gate also covers the conservative
-  window-sync protocol on every PR.
-
-Each scenario also returns a **fingerprint** of the simulated outcome
-(final virtual time, events fired, key scheduler counters).  The
-fingerprints are what the determinism golden test and the perf-smoke CI
-job key on: an optimization that changes a fingerprint changed the
-simulation, not just its speed.
+:func:`run_scenario` is the one runner: it builds a row's world, times
+the simulation, fails loudly on a stall and returns a **fingerprint** of
+the simulated outcome (virtual time, events fired, the row's counters).
+An optimization that changes a fingerprint changed the simulation, not
+just its speed.  The fast path's and the leap's on/off identity is gated
+by tests (``tests/bench/test_hostperf.py``,
+``test_summary_matrix_identity.py``, ``test_leap_matrix_identity.py``)
+that rerun a row with ``fastpath=False`` or ``leap=False``, not by
+matrix rows.
 """
 
 from __future__ import annotations
@@ -50,7 +35,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.sim.engine import Engine
 
@@ -69,12 +54,9 @@ class ScenarioResult:
 
 @dataclass
 class HostPerfReport:
-    """The full matrix plus the aggregate throughput headline.
-
-    ``total_wall_ms`` sums the scenarios' own (in-worker) run times;
-    ``elapsed_wall_ms`` is the end-to-end wall clock of the whole matrix,
-    which is what parallel fan-out (``jobs > 1``) actually shrinks.
-    """
+    """The matrix plus the aggregate headline.  ``total_wall_ms`` sums the
+    scenarios' own run times; ``elapsed_wall_ms`` is the matrix's
+    end-to-end wall clock, which parallel fan-out (``jobs > 1``) shrinks."""
 
     scenarios: list[ScenarioResult] = field(default_factory=list)
     total_events: int = 0
@@ -87,688 +69,374 @@ class HostPerfReport:
         self.total_events = sum(s.events for s in self.scenarios)
         self.total_wall_ms = sum(s.wall_ms for s in self.scenarios)
         if self.total_wall_ms > 0:
-            self.aggregate_events_per_sec = self.total_events / (
-                self.total_wall_ms / 1e3
-            )
+            self.aggregate_events_per_sec = self.total_events / (self.total_wall_ms / 1e3)
         return self
 
-    def scenario(self, name: str) -> ScenarioResult:
-        for s in self.scenarios:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+
+# builders: ``build(seed=, **kwargs)`` prepares a world and returns its
+# ``run()``, which simulates and returns ``(events, virtual_ns, outcome)``;
+# ``outcome()`` raises RuntimeError on a stall, else returns the counters
+# a row may fingerprint.  Only ``run()`` is timed.
+def _engine_run(engine: Engine, until: int, threads: list, outcome: Callable):
+    """``run()`` of a one-engine world: spawn ``threads`` (``(scheduler,
+    body, core, name)``), then run the engine to ``until``."""
+
+    def run():
+        fired0 = engine.fired
+        for sched, body, core, name in threads:
+            sched.spawn(body, core, name=name)
+        engine.run(until=until)
+        return engine.fired - fired0, engine.now, outcome
+
+    return run
 
 
-def _timed(engine: Engine, run: Callable[[], None]) -> tuple[int, float, int]:
-    """Run a prepared workload; returns (events, wall_ms, virtual_ns)."""
-    fired0 = engine.fired
-    t0 = time.perf_counter()
-    run()
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return engine.fired - fired0, wall_ms, engine.now
-
-
-# ----------------------------------------------------------------------
-# scenarios
-# ----------------------------------------------------------------------
-def _microbench_scenario(
-    name: str, machine_name: str, cpuset_kind: str, reps: int, seed: int,
-) -> ScenarioResult:
-    """Table-I-style submit→wait loop on one queue of the hierarchy."""
+def _pioman_world(machine, seed: int, *, true_spin: bool = False, **kwargs):
+    """A seeded scheduler on ``machine`` with PIOMan (``kwargs``) attached."""
     from repro.core.manager import PIOMan
-    from repro.core.progress import piom_wait
-    from repro.core.task import LTask
     from repro.sim.rng import Rng
     from repro.threads.scheduler import Scheduler
-    from repro.topology.builder import MACHINES
-    from repro.topology.cpuset import CpuSet
 
-    machine = MACHINES[machine_name]()
     engine = Engine()
-    sched = Scheduler(machine, engine, rng=Rng(seed))
-    pioman = PIOMan(machine, engine, sched)
-    cpuset = (
-        CpuSet.single(0) if cpuset_kind == "local" else machine.all_cores()
-    )
-    wait_mode = "active" if cpuset_kind == "local" else "spin"
-
-    def submitter(ctx):
-        for i in range(reps):
-            task = LTask(None, cpuset=cpuset, name=f"perf{i}")
-            yield from pioman.submit(0, task)
-            yield from piom_wait(pioman, 0, task, mode=wait_mode)
-
-    def run() -> None:
-        sched.spawn(submitter, 0, name="perf-submitter")
-        engine.run(until=reps * 1_000_000)
-
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if pioman.stats.tasks_completed < reps:
-        raise RuntimeError(f"{name}: stalled at {pioman.stats.tasks_completed}/{reps}")
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "submits": pioman.stats.submits,
-            "executions": pioman.stats.executions,
-            "schedule_passes": pioman.stats.schedule_passes,
-        },
-    )
+    sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=true_spin)
+    return engine, sched, PIOMan(machine, engine, sched, **kwargs)
 
 
-def _latency_scenario(name: str, nthreads: int, iters: int, seed: int) -> ScenarioResult:
-    """fig4-style multi-threaded ping-pong over the full cluster stack."""
-    from repro.cluster.cluster import Cluster
-    from repro.mpi import MadMPI
-
-    cluster = Cluster(2, seed=seed)
-    mpi = MadMPI(cluster)
-    c_send = mpi.comm(0)
-    c_recv = mpi.comm(1)
-    ncores = cluster.nodes[1].machine.ncores
-    samples: list[int] = []
-
-    def receiver_body(tid: int):
-        def body(ctx):
-            for _ in range(iters):
-                yield from c_recv.recv(ctx.core_id, 0, tid)
-                yield from c_recv.send(ctx.core_id, 0, tid, 4, payload=b"r")
-
-        return body
-
-    def sender_body(ctx):
-        for _ in range(iters):
-            for tid in range(nthreads):
-                t0 = ctx.now
-                yield from c_send.send(ctx.core_id, 1, tid, 4, payload=b"p")
-                yield from c_send.recv(ctx.core_id, 1, tid)
-                samples.append(ctx.now - t0)
-
-    def run() -> None:
-        for tid in range(nthreads):
-            cluster.nodes[1].scheduler.spawn(
-                receiver_body(tid), tid % ncores, name=f"recv{tid}"
-            )
-        cluster.nodes[0].scheduler.spawn(sender_body, 0, name="sender")
-        cluster.run(until=iters * nthreads * 3_000_000 + 50_000_000)
-
-    engine = cluster.engine
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if len(samples) < iters * nthreads:
-        raise RuntimeError(f"{name}: stalled at {len(samples)} round-trips")
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "round_trips": len(samples),
-            "sum_latency_ns": sum(samples),
-        },
-    )
+def _pioman_counters(pioman) -> dict:
+    st = pioman.stats
+    return {"submits": st.submits, "executions": st.executions,
+            "schedule_passes": st.schedule_passes,
+            "summary_hits": pioman.hierarchy.summary_stats.summary_hits}
 
 
-def _scalability_scenario(name: str, reps: int, seed: int) -> ScenarioResult:
-    """One rung of the scalability sweep: global queue on a 32-core NUMA box."""
+def _roundtrip(
+    *, seed: int, machine: str, cpuset: str, reps: int,
+    until_per_rep: int = 1_000_000, slow_cores: tuple = (), factor: float = 1.0,
+):
+    """Submit→``piom_wait`` round-trips from core 0 to its own queue
+    (``cpuset="local"``, active wait) or the machine-wide one
+    (``"global"``, spin wait).  ``machine`` is a ``MACHINES`` name or
+    ``"numa32"`` (the scalability sweep's 4x8 rung).  ``slow_cores`` run
+    ``factor``x slower (the fault injector's per-core skew)."""
     from repro.bench.scalability import scaled_machine
-    from repro.core.manager import PIOMan
-    from repro.core.progress import piom_wait
-    from repro.core.task import LTask
-    from repro.sim.rng import Rng
-    from repro.threads.scheduler import Scheduler
-
-    machine = scaled_machine(4, 8)  # 32 cores
-    engine = Engine()
-    sched = Scheduler(machine, engine, rng=Rng(seed))
-    pioman = PIOMan(machine, engine, sched)
-    cpuset = machine.all_cores()
-
-    def submitter(ctx):
-        for i in range(reps):
-            task = LTask(None, cpuset=cpuset, name=f"scal{i}")
-            yield from pioman.submit(0, task)
-            yield from piom_wait(pioman, 0, task, mode="spin")
-
-    def run() -> None:
-        sched.spawn(submitter, 0, name="scal-submitter")
-        engine.run(until=reps * 1_000_000)
-
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if pioman.stats.tasks_completed < reps:
-        raise RuntimeError(f"{name}: stalled at {pioman.stats.tasks_completed}/{reps}")
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "submits": pioman.stats.submits,
-            "executions": pioman.stats.executions,
-        },
-    )
-
-
-def _cluster_ring_scenario(name: str, nnodes: int, iters: int, seed: int) -> ScenarioResult:
-    """Multi-node smoke: every node sends around a ring simultaneously."""
-    from repro.cluster.cluster import Cluster
-    from repro.mpi import MadMPI
-
-    cluster = Cluster(nnodes, seed=seed)
-    mpi = MadMPI(cluster)
-    comms = [mpi.comm(i) for i in range(nnodes)]
-    done = [0] * nnodes
-
-    def ring_body(rank: int):
-        nxt = (rank + 1) % nnodes
-        prev = (rank - 1) % nnodes
-
-        def body(ctx):
-            for it in range(iters):
-                yield from comms[rank].send(
-                    ctx.core_id, nxt, it, 1024, payload=b"x"
-                )
-                yield from comms[rank].recv(ctx.core_id, prev, it)
-                done[rank] += 1
-
-        return body
-
-    def run() -> None:
-        for rank in range(nnodes):
-            cluster.nodes[rank].scheduler.spawn(
-                ring_body(rank), 0, name=f"ring{rank}"
-            )
-        cluster.run(until=iters * nnodes * 5_000_000 + 50_000_000)
-
-    engine = cluster.engine
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if done != [iters] * nnodes:
-        raise RuntimeError(f"{name}: ring stalled ({done})")
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "exchanges": sum(done),
-        },
-    )
-
-
-def _idle_spin_scenario(
-    name: str,
-    duration_us: int,
-    gap_us: int,
-    seed: int,
-    fastpath: bool = True,
-    best_of: int = 3,
-    leap: Optional[bool] = None,
-) -> ScenarioResult:
-    """Idle-heavy spin-polling on a deep chiplet machine (24 cores).
-
-    One driver core submits a small single-core task every ``gap_us``
-    while the other 23 cores spin-poll an almost-always-empty hierarchy —
-    the steady-state shape of a communication library between messages,
-    and the workload the occupancy-summary fast path exists for.  Run
-    with ``fastpath=False`` it measures the same simulation with the
-    summary disabled; the two entries' ev/s ratio is the fast path's
-    speedup and their fingerprints (minus ``summary_hits``) must match
-    exactly — determinism is part of the contract.
-
-    ``leap`` pins the quiescence leap (:mod:`repro.core.leap`) on or off
-    regardless of the process default; the leap_on/leap_off matrix pair
-    uses it to run the same simulation both ways, and that pair's
-    fingerprints must be **fully** identical — the leap replays every
-    counter, including ``summary_hits``.
-
-    ``best_of`` re-runs the identical workload in fresh engines and keeps
-    the fastest wall time: idle passes are microsecond-scale, so a single
-    run is at the mercy of host scheduling noise.
-    """
-    from repro.core.manager import PIOMan
-    from repro.core.task import LTask
-    from repro.sim.rng import Rng
-    from repro.threads.scheduler import Scheduler
-    from repro.topology.builder import ccx_machine
-    from repro.topology.cpuset import CpuSet
-    from repro.threads.instructions import Compute
-
-    duration = duration_us * 1_000
-    gap = gap_us * 1_000
-    best: Optional[tuple] = None
-    for _ in range(max(1, best_of)):
-        machine = ccx_machine()
-        engine = Engine()
-        sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=True)
-        kwargs = {} if leap is None else {"quiescence_leap": leap}
-        pioman = PIOMan(machine, engine, sched, summary_fastpath=fastpath, **kwargs)
-        ncores = machine.ncores
-
-        def driver(ctx):
-            i = 0
-            while engine.now < duration:
-                yield Compute(gap)
-                task = LTask(
-                    None,
-                    cpuset=CpuSet.single(1 + (5 * i + 3) % (ncores - 1)),
-                    name=f"idle{i}",
-                )
-                yield from pioman.submit(0, task)
-                i += 1
-
-        def run() -> None:
-            sched.spawn(driver, 0, name="idle-driver")
-            engine.run(until=duration)
-
-        events, wall_ms, virtual_ns = _timed(engine, run)
-        if pioman.stats.tasks_completed == 0:
-            raise RuntimeError(f"{name}: no task ever completed")
-        if best is None or wall_ms < best[1]:
-            best = (events, wall_ms, virtual_ns, pioman)
-    events, wall_ms, virtual_ns, pioman = best
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "submits": pioman.stats.submits,
-            "executions": pioman.stats.executions,
-            "schedule_passes": pioman.stats.schedule_passes,
-            "summary_hits": pioman.hierarchy.summary_stats.summary_hits,
-        },
-    )
-
-
-def _fault_net_scenario(
-    name: str, msgs: int, size: int, drop_p: float, reorder_p: float, seed: int
-) -> ScenarioResult:
-    """Eager 2-node exchange under seeded packet loss + reordering.
-
-    Every payload stays below the rendezvous threshold so it crosses the
-    wire through ``Nic.post_send`` — the path the injector's drop/reorder
-    hooks and the driver's timeout retransmit cover.  The fingerprint
-    pins the fault counters themselves: a change in when (or whether) a
-    frame is dropped is a semantic change, not noise.
-    """
-    from repro.cluster.cluster import Cluster
-    from repro.faults.plan import FaultPlan, NetFaults
-    from repro.mpi import MadMPI
-
-    plan = FaultPlan(seed=seed, net=NetFaults(drop_p=drop_p, reorder_p=reorder_p))
-    cluster = Cluster(2, seed=seed, faults=plan)
-    mpi = MadMPI(cluster)
-    c0, c1 = mpi.comm(0), mpi.comm(1)
-    done = [0, 0]
-
-    def sender(ctx):
-        for i in range(msgs):
-            yield from c0.send(ctx.core_id, 1, i, size, payload=b"x")
-            done[0] += 1
-
-    def receiver(ctx):
-        for i in range(msgs):
-            yield from c1.recv(ctx.core_id, 0, i)
-            done[1] += 1
-
-    def run() -> None:
-        cluster.nodes[0].scheduler.spawn(sender, 0, name="fault-send")
-        cluster.nodes[1].scheduler.spawn(receiver, 0, name="fault-recv")
-        cluster.run(until=msgs * 10_000_000 + 100_000_000)
-
-    engine = cluster.engine
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if done != [msgs, msgs]:
-        raise RuntimeError(f"{name}: stalled at {done}/{msgs}")
-    fs = cluster.faults.stats
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "messages": sum(done),
-            "drops": fs.drops,
-            "retransmits": fs.retransmits,
-            "reorders": fs.reorders,
-        },
-    )
-
-
-def _fault_slowcore_scenario(
-    name: str, reps: int, slow_cores: tuple, factor: float, seed: int
-) -> ScenarioResult:
-    """Global-queue round-trips with frequency-skewed straggler cores.
-
-    Same shape as ``micro_global`` but some cores run ``factor``x slower
-    (the injector's per-core skew in the scheduler's ``_advance`` cost
-    accounting): NUMA capture keeps routing work to whichever core grabs
-    the queue lock, so stragglers stretch the whole round-trip tail.
-    """
-    from repro.core.manager import PIOMan
     from repro.core.progress import piom_wait
     from repro.core.task import LTask
     from repro.faults.inject import FaultInjector
     from repro.faults.plan import FaultPlan, SlowCores
-    from repro.sim.rng import Rng
-    from repro.threads.scheduler import Scheduler
     from repro.topology.builder import MACHINES
+    from repro.topology.cpuset import CpuSet
 
-    machine = MACHINES["borderline"]()
-    engine = Engine()
-    sched = Scheduler(machine, engine, rng=Rng(seed))
-    pioman = PIOMan(machine, engine, sched)
-    plan = FaultPlan(
-        seed=seed, slow_cores=SlowCores(cores=tuple(slow_cores), factor=factor)
-    )
-    injector = FaultInjector(plan).install(scheduler=sched, pioman=pioman)
-    cpuset = machine.all_cores()
+    m = scaled_machine(4, 8) if machine == "numa32" else MACHINES[machine]()
+    engine, sched, pioman = _pioman_world(m, seed)
+    injector = None
+    if slow_cores:
+        plan = FaultPlan(seed=seed, slow_cores=SlowCores(cores=tuple(slow_cores), factor=factor))
+        injector = FaultInjector(plan).install(scheduler=sched, pioman=pioman)
+    local = cpuset == "local"
+    cpus = CpuSet.single(0) if local else m.all_cores()
+    mode = "active" if local else "spin"
 
     def submitter(ctx):
         for i in range(reps):
-            task = LTask(None, cpuset=cpuset, name=f"slow{i}")
+            task = LTask(None, cpuset=cpus, name=f"rt{i}")
             yield from pioman.submit(0, task)
-            yield from piom_wait(pioman, 0, task, mode="spin")
+            yield from piom_wait(pioman, 0, task, mode=mode)
 
-    def run() -> None:
-        sched.spawn(submitter, 0, name="slow-submitter")
-        engine.run(until=reps * 2_000_000)
+    def outcome() -> dict:
+        if pioman.stats.tasks_completed < reps:
+            raise RuntimeError(f"stalled at {pioman.stats.tasks_completed}/{reps}")
+        return {**_pioman_counters(pioman),
+                "slow_cores": injector.stats.slow_cores if injector else 0}
 
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    if pioman.stats.tasks_completed < reps:
-        raise RuntimeError(f"{name}: stalled at {pioman.stats.tasks_completed}/{reps}")
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "submits": pioman.stats.submits,
-            "executions": pioman.stats.executions,
-            "slow_cores": injector.stats.slow_cores,
-        },
-    )
+    return _engine_run(engine, reps * until_per_rep,
+                       [(sched, submitter, 0, "rt-submitter")], outcome)
 
 
-def _fault_storm_scenario(
-    name: str, decoys: int, gap_us: int, seed: int
-) -> ScenarioResult:
-    """Cancellation storm + lock-holder preemption on a spin-polling host.
+def _cluster(
+    *, seed: int, pattern: str, iters: int, size: int, nnodes: int = 2,
+    nthreads: int = 1, drop_p: float = 0.0, reorder_p: float = 0.0,
+):
+    """MPI exchanges over a cluster.  ``pingpong``: a sender on node 0
+    round-trips ``iters`` times with each of ``nthreads`` receiver threads
+    on node 1 (fig4).  ``ring``: every node sends to its successor,
+    ``iters`` times, all at once.  ``stream``: node 0 sends ``iters`` eager
+    messages to node 1 through ``Nic.post_send``, where seeded
+    drops/reorders (``drop_p``/``reorder_p``) and the retransmit bite."""
+    from repro.cluster.cluster import Cluster
+    from repro.faults.plan import FaultPlan, NetFaults
+    from repro.mpi import MadMPI
 
-    A driver pins decoy tasks to its own core so they linger in the queue
-    (spin-polling neighbours can't steal them), while storm ticks pick
-    queued victims and fire ``PIOMan.cancel`` half an interval later —
-    racing in-flight execution on purpose — and every queue-lock grant
-    may eat an injected descheduling window.  The fingerprint pins the
-    submitted = executed + cancelled accounting.
-    """
-    from repro.core.manager import PIOMan
+    plan = None
+    if drop_p or reorder_p:
+        plan = FaultPlan(seed=seed, net=NetFaults(drop_p=drop_p, reorder_p=reorder_p))
+    cluster = Cluster(nnodes, seed=seed, faults=plan)
+    mpi = MadMPI(cluster)
+    comms = [mpi.comm(i) for i in range(nnodes)]
+    # threads as (node, core, name, steps); a step is a sequence of
+    # (peer, tag, payload) operations: a send, or a receive when the
+    # payload is None
+    if pattern == "pingpong":
+        ncores = cluster.nodes[1].machine.ncores
+        threads = [(1, tid % ncores, f"recv{tid}", [((0, tid, None), (0, tid, b"r"))] * iters)
+                   for tid in range(nthreads)]
+        # last, so lats[-1] holds the round-trip latencies
+        threads.append((0, 0, "sender", [((1, tid, b"p"), (1, tid, None))
+                                         for _ in range(iters) for tid in range(nthreads)]))
+        until = iters * nthreads * 3_000_000 + 50_000_000
+    elif pattern == "ring":
+        threads = [(r, 0, f"ring{r}", [(((r + 1) % nnodes, it, b"x"), ((r - 1) % nnodes, it, None))
+                                      for it in range(iters)])
+                   for r in range(nnodes)]
+        until = iters * nnodes * 5_000_000 + 50_000_000
+    elif pattern == "stream":
+        threads = [(0, 0, "stream-send", [((1, i, b"x"),) for i in range(iters)]),
+                   (1, 0, "stream-recv", [((0, i, None),) for i in range(iters)])]
+        until = iters * 10_000_000 + 100_000_000
+    else:
+        raise ValueError(f"unknown cluster pattern {pattern!r}")
+    lats: list[list[int]] = [[] for _ in threads]  # per-step latency, per thread
+
+    def body(comm, steps, lat):
+        def run(ctx):
+            for step in steps:
+                t0 = ctx.now
+                for peer, tag, payload in step:
+                    if payload is None:
+                        yield from comm.recv(ctx.core_id, peer, tag)
+                    else:
+                        yield from comm.send(ctx.core_id, peer, tag, size, payload=payload)
+                lat.append(ctx.now - t0)
+
+        return run
+
+    def outcome() -> dict:
+        done, want = [len(lat) for lat in lats], [len(t[3]) for t in threads]
+        if done != want:
+            raise RuntimeError(f"stalled at {done} of {want} steps")
+        counters = {"round_trips": len(lats[-1]), "sum_latency_ns": sum(lats[-1]),
+                    "exchanges": sum(done), "messages": sum(done)}
+        if plan is not None:
+            fs = cluster.faults.stats
+            counters.update(drops=fs.drops, retransmits=fs.retransmits, reorders=fs.reorders)
+        return counters
+
+    return _engine_run(cluster.engine, until, [
+        (cluster.nodes[node].scheduler, body(comms[node], steps, lat), core, name)
+        for (node, core, name, steps), lat in zip(threads, lats)
+    ], outcome)
+
+
+def _idle_spin(
+    *, seed: int, duration_us: int, gap_us: int, fastpath: bool = True,
+    leap: Optional[bool] = None,
+):
+    """Idle-heavy spin-polling on a 24-core chiplet machine: one driver
+    core submits a small single-core task every ``gap_us`` while the
+    other 23 cores spin-poll an almost-always-empty hierarchy — a
+    communication library between messages.  ``fastpath=False`` runs the
+    same simulation with the occupancy-summary fast path off; ``leap``
+    pins the quiescence leap on or off (``None``: the process default)."""
+    from repro.core.task import LTask
+    from repro.threads.instructions import Compute
+    from repro.topology.builder import ccx_machine
+    from repro.topology.cpuset import CpuSet
+
+    duration, gap = duration_us * 1_000, gap_us * 1_000
+    machine = ccx_machine()
+    ncores = machine.ncores
+    engine, sched, pioman = _pioman_world(machine, seed, true_spin=True,
+                                          summary_fastpath=fastpath,
+                                          quiescence_leap=leap)
+
+    def driver(ctx):
+        i = 0
+        while engine.now < duration:
+            yield Compute(gap)
+            cpus = CpuSet.single(1 + (5 * i + 3) % (ncores - 1))
+            yield from pioman.submit(0, LTask(None, cpuset=cpus, name=f"idle{i}"))
+            i += 1
+
+    def outcome() -> dict:
+        if pioman.stats.tasks_completed == 0:
+            raise RuntimeError("no task ever completed")
+        return _pioman_counters(pioman)
+
+    return _engine_run(engine, duration, [(sched, driver, 0, "idle-driver")], outcome)
+
+
+def _storm(*, seed: int, decoys: int, gap_us: int):
+    """Cancellation storm + lock-holder preemption on a spin-polling host:
+    decoy tasks pinned to the driver's core linger in its queue while
+    storm ticks fire ``PIOMan.cancel`` at them — racing in-flight
+    execution on purpose — and every queue-lock grant may eat an injected
+    descheduling window.  The outcome checks submitted = executed +
+    cancelled."""
     from repro.core.task import LTask
     from repro.faults.inject import FaultInjector
     from repro.faults.plan import CancelStorm, FaultPlan, LockPreemption
-    from repro.sim.rng import Rng
     from repro.threads.instructions import Compute
-    from repro.threads.scheduler import Scheduler
     from repro.topology.builder import ccx_machine
     from repro.topology.cpuset import CpuSet
 
     gap = gap_us * 1_000
-    machine = ccx_machine()
-    engine = Engine()
-    sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=True)
-    pioman = PIOMan(machine, engine, sched)
+    engine, sched, pioman = _pioman_world(ccx_machine(), seed, true_spin=True)
     plan = FaultPlan(
         seed=seed,
         # the double-checked fallback keeps empty queues lock-free, so
         # grants are scarce — a high p is needed to see preemptions at all
         lock_preemption=LockPreemption(p=0.25, window_ns=30_000),
-        cancel_storm=CancelStorm(
-            count=max(2, decoys // 4), interval_ns=3 * gap, start_ns=gap
-        ),
+        cancel_storm=CancelStorm(count=max(2, decoys // 4), interval_ns=3 * gap, start_ns=gap),
     )
-    injector = FaultInjector(plan).install(scheduler=sched, pioman=pioman)
+    fs = FaultInjector(plan).install(scheduler=sched, pioman=pioman).stats
 
     def driver(ctx):
         for i in range(decoys):
             yield Compute(gap)
-            task = LTask(None, cpuset=CpuSet.single(0), name=f"decoy{i}")
-            yield from pioman.submit(0, task)
+            yield from pioman.submit(0, LTask(None, cpuset=CpuSet.single(0), name=f"decoy{i}"))
 
-    def run() -> None:
-        sched.spawn(driver, 0, name="storm-driver")
-        engine.run(until=decoys * gap + 50_000_000)
+    def outcome() -> dict:
+        st = pioman.stats
+        if st.executions + fs.cancel_hits < st.submits:
+            raise RuntimeError(f"lost tasks ({st.submits} submitted, {st.executions} "
+                               f"ran, {fs.cancel_hits} cancelled)")
+        return {**_pioman_counters(pioman), "cancel_attempts": fs.cancel_attempts,
+                "cancel_hits": fs.cancel_hits, "lock_preemptions": fs.lock_preemptions}
 
-    events, wall_ms, virtual_ns = _timed(engine, run)
-    st = pioman.stats
-    fs = injector.stats
-    if st.executions + fs.cancel_hits < st.submits:
-        raise RuntimeError(
-            f"{name}: lost tasks ({st.submits} submitted, "
-            f"{st.executions} ran, {fs.cancel_hits} cancelled)"
-        )
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=virtual_ns,
-        fingerprint={
-            "fired": events,
-            "virtual_ns": virtual_ns,
-            "submits": st.submits,
-            "executions": st.executions,
-            "cancel_attempts": fs.cancel_attempts,
-            "cancel_hits": fs.cancel_hits,
-            "lock_preemptions": fs.lock_preemptions,
-        },
-    )
+    return _engine_run(engine, decoys * gap + 50_000_000,
+                       [(sched, driver, 0, "storm-driver")], outcome)
 
 
-def _cluster_sharded_scenario(
-    name: str, nnodes: int, reqs: int, seed: int
-) -> ScenarioResult:
-    """Compact sharded-cluster run: the conservative-lookahead shard
-    protocol (:mod:`repro.cluster.shard`) on a generated workload.
-
-    Runs the same scenario single-process (``nshards=1``) and split in
-    two (``nshards=2``), both in serial mode — hostperf scenarios may
-    themselves run inside daemonic ``--jobs`` workers, which cannot fork.
-    The two fingerprints must be identical (the shard identity contract);
-    the reported throughput is the two runs combined, so the perf gate
-    covers the window-sync machinery itself, not just one shard count.
-    """
+def _sharded(*, seed: int, nnodes: int, reqs: int):
+    """A generated ring workload run single-process (``nshards=1``) and
+    split in two (``nshards=2``), both serial — matrix rows may run in
+    daemonic ``--jobs`` workers, which cannot fork.  The fingerprints must
+    be identical (the shard identity contract); both runs are timed."""
     from repro.cluster.shard import run_sharded
     from repro.cluster.workload import WorkloadSpec, verify_completion
 
     spec = WorkloadSpec(
-        nnodes=nnodes, requests_per_node=reqs, pattern="ring",
-        arrival="closed", mean_gap_ns=20_000, think_ns=5_000,
-        rdv_fraction=0.25, seed=seed,
+        nnodes=nnodes, requests_per_node=reqs, pattern="ring", arrival="closed",
+        mean_gap_ns=20_000, think_ns=5_000, rdv_fraction=0.25, seed=seed,
     )
     kwargs = {"spec": spec, "machine": "smp1x2", "trace": False}
     builder = "repro.cluster.workload:build_workload_cluster"
-    r1 = run_sharded(builder, kwargs, nshards=1, serial=True)
-    r2 = run_sharded(builder, kwargs, nshards=2, serial=True)
-    if r1.fingerprint() != r2.fingerprint():
-        raise RuntimeError(
-            f"{name}: sharded fingerprint diverged from single-process "
-            f"({r2.fingerprint()[:16]}… vs {r1.fingerprint()[:16]}…)"
-        )
-    verify_completion(r1.snapshot, spec)
-    events = r1.fired + r2.fired
-    wall_ms = r1.wall_ms + r2.wall_ms
-    return ScenarioResult(
-        name=name,
-        events=events,
-        wall_ms=wall_ms,
-        events_per_sec=events / (wall_ms / 1e3) if wall_ms else 0.0,
-        virtual_ns=r1.virtual_ns,
-        fingerprint={
-            "fired": r1.fired,
-            "virtual_ns": r1.virtual_ns,
-            "windows_2shard": r2.windows,
-            "run_fingerprint": r1.fingerprint(),
-            "identical": True,
-        },
-    )
+
+    def run():
+        one = run_sharded(builder, kwargs, nshards=1, serial=True)
+        two = run_sharded(builder, kwargs, nshards=2, serial=True)
+
+        def outcome() -> dict:
+            if one.fingerprint() != two.fingerprint():
+                raise RuntimeError(
+                    "sharded fingerprint diverged from single-process "
+                    f"({two.fingerprint()[:16]}… vs {one.fingerprint()[:16]}…)"
+                )
+            verify_completion(one.snapshot, spec)
+            return {"fired": one.fired, "windows_2shard": two.windows,
+                    "run_fingerprint": one.fingerprint(), "identical": True}
+
+        return one.fired + two.fired, one.virtual_ns, outcome
+
+    return run
 
 
-# ----------------------------------------------------------------------
-# the matrix
-# ----------------------------------------------------------------------
+# the matrix: one table, one runner
+class Row(NamedTuple):
+    """One matrix scenario."""
+
+    build: Callable
+    seed: int  # offset from the matrix seed
+    keys: tuple  # counters fingerprinted after fired/virtual_ns
+    quick: dict  # builder kwargs of the quick matrix
+    full: dict  # what the full matrix overrides (4x the work)
+
+
+_PASSES = ("submits", "executions", "schedule_passes")
+_IDLE = _PASSES + ("summary_hits",)
+
+#: Seed offsets, ``until`` bounds and fingerprint keys are fixed: a row
+#: that changes any of them no longer matches its committed fingerprint.
+MATRIX: dict[str, Row] = {
+    "micro_local": Row(_roundtrip, 0, _PASSES, dict(machine="borderline", cpuset="local",
+                                                    reps=150), dict(reps=600)),
+    "micro_global": Row(_roundtrip, 1, _PASSES, dict(machine="borderline", cpuset="global",
+                                                     reps=100), dict(reps=400)),
+    "latency_mt": Row(_cluster, 2, ("round_trips", "sum_latency_ns"),
+                      dict(pattern="pingpong", nthreads=8, size=4, iters=2), dict(iters=8)),
+    "scal_numa32": Row(_roundtrip, 3, ("submits", "executions"),
+                       dict(machine="numa32", cpuset="global", reps=30), dict(reps=120)),
+    "cluster_ring": Row(_cluster, 4, ("exchanges",),
+                        dict(pattern="ring", nnodes=4, size=1024, iters=4), dict(iters=16)),
+    "idle_spin": Row(_idle_spin, 5, _IDLE, dict(duration_us=75, gap_us=20),
+                     dict(duration_us=300, best_of=5)),
+    "leap_on": Row(_idle_spin, 10, _IDLE, dict(duration_us=150, gap_us=25),
+                   dict(duration_us=600, best_of=3)),
+    "fault_net": Row(_cluster, 6, ("messages", "drops", "retransmits", "reorders"),
+                     dict(pattern="stream", size=4096, drop_p=0.12, reorder_p=0.2, iters=6),
+                     dict(iters=24)),
+    "fault_slowcore": Row(_roundtrip, 7, ("submits", "executions", "slow_cores"),
+                          dict(machine="borderline", cpuset="global", until_per_rep=2_000_000,
+                               slow_cores=(1, 3), factor=3.0, reps=40),
+                          dict(reps=160)),
+    "fault_storm": Row(_storm, 8, ("submits", "executions", "cancel_attempts",
+                                   "cancel_hits", "lock_preemptions"),
+                       dict(decoys=10, gap_us=20), dict(decoys=40)),
+    "cluster_shard2": Row(_sharded, 11, ("fired", "windows_2shard", "run_fingerprint",
+                                         "identical"),
+                          dict(nnodes=6, reqs=2), dict(reqs=8)),
+}
+
+
+def run_scenario(name: str, seed: int, best_of: int = 1, **kwargs) -> ScenarioResult:
+    """Run matrix row ``name``: its quick-matrix kwargs, overridden by
+    ``kwargs``.  ``best_of`` rebuilds and reruns the identical world and
+    keeps the fastest wall time: idle passes are microsecond-scale, so
+    one run is at the mercy of host scheduling noise."""
+    row = MATRIX[name]
+    best = None
+    for _ in range(max(1, best_of)):
+        run = row.build(seed=seed, **{**row.quick, **kwargs})
+        t0 = time.perf_counter()
+        events, virtual_ns, outcome = run()
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        if best is None or wall_ms < best[1]:
+            best = (events, wall_ms, virtual_ns, outcome)
+    events, wall_ms, virtual_ns, outcome = best
+    try:
+        counters = outcome()
+    except RuntimeError as exc:
+        raise RuntimeError(f"{name}: {exc}") from None
+    fingerprint = {"fired": events, "virtual_ns": virtual_ns}
+    fingerprint.update((k, counters[k]) for k in row.keys)
+    ev_s = events / (wall_ms / 1e3) if wall_ms else 0.0
+    return ScenarioResult(name, events, wall_ms, ev_s, virtual_ns, fingerprint)
+
+
 def matrix_specs(*, quick: bool = False, seed: int = 7) -> list:
-    """The fixed 13-scenario matrix as :class:`repro.par.JobSpec` jobs.
-
-    Each scenario carries its own derived seed in the spec, so its
-    simulated outcome (the fingerprint) is fixed before any worker runs —
-    identical serially, in parallel, and under any completion order.
-    """
+    """The matrix as :class:`repro.par.JobSpec` jobs, in table order.  Each
+    carries its own seed, so its fingerprint is fixed before any worker
+    runs: identical serially, in parallel, in any completion order."""
     from repro.par import JobSpec
 
-    scale = 1 if quick else 4
-    mod = "repro.bench.hostperf"
-    return [
-        JobSpec(
-            name="micro_local",
-            target=f"{mod}:_microbench_scenario",
-            kwargs=dict(name="micro_local", machine_name="borderline",
-                        cpuset_kind="local", reps=150 * scale, seed=seed),
-        ),
-        JobSpec(
-            name="micro_global",
-            target=f"{mod}:_microbench_scenario",
-            kwargs=dict(name="micro_global", machine_name="borderline",
-                        cpuset_kind="global", reps=100 * scale, seed=seed + 1),
-        ),
-        JobSpec(
-            name="latency_mt",
-            target=f"{mod}:_latency_scenario",
-            kwargs=dict(name="latency_mt", nthreads=8, iters=2 * scale,
-                        seed=seed + 2),
-        ),
-        JobSpec(
-            name="scal_numa32",
-            target=f"{mod}:_scalability_scenario",
-            kwargs=dict(name="scal_numa32", reps=30 * scale, seed=seed + 3),
-        ),
-        JobSpec(
-            name="cluster_ring",
-            target=f"{mod}:_cluster_ring_scenario",
-            kwargs=dict(name="cluster_ring", nnodes=4, iters=4 * scale,
-                        seed=seed + 4),
-        ),
-        # idle_spin / idle_spin_nosummary share a seed on purpose: they run
-        # the SAME simulation with the occupancy-summary fast path on/off,
-        # so their ev/s ratio is the fast path's measured speedup and their
-        # fingerprints (minus summary_hits) must be identical.
-        JobSpec(
-            name="idle_spin",
-            target=f"{mod}:_idle_spin_scenario",
-            kwargs=dict(name="idle_spin", duration_us=75 * scale, gap_us=20,
-                        seed=seed + 5, fastpath=True,
-                        best_of=1 if quick else 5),
-        ),
-        JobSpec(
-            name="idle_spin_nosummary",
-            target=f"{mod}:_idle_spin_scenario",
-            kwargs=dict(name="idle_spin_nosummary", duration_us=75 * scale,
-                        gap_us=20, seed=seed + 5, fastpath=False,
-                        best_of=1 if quick else 5),
-        ),
-        # leap_on / leap_off share a seed on purpose: the SAME simulation
-        # with the quiescence leap (repro.core.leap) on and off, so the
-        # pair's ev/s ratio is the leap's measured speedup — and their
-        # fingerprints must be FULLY identical (the leap replays every
-        # counter, summary_hits included; nothing is excluded from the
-        # comparison the way idle_spin_nosummary excludes summary_hits).
-        JobSpec(
-            name="leap_on",
-            target=f"{mod}:_idle_spin_scenario",
-            kwargs=dict(name="leap_on", duration_us=150 * scale, gap_us=25,
-                        seed=seed + 10, fastpath=True, leap=True,
-                        best_of=1 if quick else 3),
-        ),
-        JobSpec(
-            name="leap_off",
-            target=f"{mod}:_idle_spin_scenario",
-            kwargs=dict(name="leap_off", duration_us=150 * scale, gap_us=25,
-                        seed=seed + 10, fastpath=True, leap=False,
-                        best_of=1 if quick else 3),
-        ),
-        # hostile-world scenarios (repro.faults): same determinism contract
-        # as the clean ones — the *fault* counters are in the fingerprint,
-        # so a change in what gets dropped/preempted/cancelled is a diff
-        JobSpec(
-            name="fault_net",
-            target=f"{mod}:_fault_net_scenario",
-            kwargs=dict(name="fault_net", msgs=6 * scale, size=4096,
-                        drop_p=0.12, reorder_p=0.2, seed=seed + 6),
-        ),
-        JobSpec(
-            name="fault_slowcore",
-            target=f"{mod}:_fault_slowcore_scenario",
-            kwargs=dict(name="fault_slowcore", reps=40 * scale,
-                        slow_cores=(1, 3), factor=3.0, seed=seed + 7),
-        ),
-        JobSpec(
-            name="fault_storm",
-            target=f"{mod}:_fault_storm_scenario",
-            kwargs=dict(name="fault_storm", decoys=10 * scale, gap_us=20,
-                        seed=seed + 8),
-        ),
-        # the shard protocol itself: a generated workload run whole and
-        # split in two (serial shards), fingerprints required identical —
-        # the perf-regression gate covers the window-sync path on every PR
-        JobSpec(
-            name="cluster_shard2",
-            target=f"{mod}:_cluster_sharded_scenario",
-            kwargs=dict(name="cluster_shard2", nnodes=6, reqs=2 * scale,
-                        seed=seed + 11),
-        ),
-    ]
+    specs = []
+    for name, row in MATRIX.items():
+        kwargs = {"name": name, "seed": seed + row.seed, **row.quick}
+        if not quick:
+            kwargs.update(row.full)
+        specs.append(JobSpec(name=name, target=f"{__name__}:run_scenario", kwargs=kwargs))
+    return specs
 
 
 def run_host_perf(
-    *,
-    quick: bool = False,
-    seed: int = 7,
-    jobs: int = 1,
-    timeout_s: Optional[float] = None,
+    *, quick: bool = False, seed: int = 7, jobs: int = 1, timeout_s: Optional[float] = None,
 ) -> HostPerfReport:
-    """Run the fixed workload matrix; ``quick`` shrinks it for CI smoke.
-
-    ``jobs > 1`` fans the scenarios out over ``repro.par`` worker
-    processes; the fingerprints are bit-identical to serial execution
-    (the equivalence tests assert this), only ``elapsed_wall_ms`` drops.
-    """
+    """Run the matrix; ``quick`` shrinks it for CI smoke.  ``jobs > 1``
+    fans it out over ``repro.par`` workers: fingerprints stay
+    bit-identical to serial, only ``elapsed_wall_ms`` drops."""
     from repro.par import run_jobs_strict
 
     t0 = time.perf_counter()
-    results = run_jobs_strict(
-        matrix_specs(quick=quick, seed=seed), jobs=jobs, timeout_s=timeout_s
-    )
+    results = run_jobs_strict(matrix_specs(quick=quick, seed=seed), jobs=jobs, timeout_s=timeout_s)
     report = HostPerfReport(scenarios=list(results), jobs=max(1, jobs))
     report.elapsed_wall_ms = (time.perf_counter() - t0) * 1e3
     return report.finish()
@@ -779,52 +447,25 @@ def format_host_perf(report: HostPerfReport) -> str:
         "Host performance (simulator events per wall-clock second)",
         f"{'scenario':<20}{'events':>10}{'wall ms':>10}{'events/s':>12}{'virtual ms':>12}",
     ]
-    for s in report.scenarios:
-        lines.append(
-            f"{s.name:<20}{s.events:>10}{s.wall_ms:>10.1f}"
-            f"{s.events_per_sec:>12.0f}{s.virtual_ns / 1e6:>12.2f}"
-        )
+    lines.extend(
+        f"{s.name:<20}{s.events:>10}{s.wall_ms:>10.1f}"
+        f"{s.events_per_sec:>12.0f}{s.virtual_ns / 1e6:>12.2f}"
+        for s in report.scenarios
+    )
     lines.append(
         f"{'AGGREGATE':<20}{report.total_events:>10}{report.total_wall_ms:>10.1f}"
         f"{report.aggregate_events_per_sec:>12.0f}"
     )
-    try:
-        on = report.scenario("idle_spin")
-        off = report.scenario("idle_spin_nosummary")
-        if off.events_per_sec:
-            lines.append(
-                "occupancy-summary fast path: "
-                f"{on.events_per_sec / off.events_per_sec:.2f}x on idle_spin"
-            )
-    except KeyError:
-        pass
-    try:
-        lon = report.scenario("leap_on")
-        loff = report.scenario("leap_off")
-        if loff.events_per_sec:
-            lines.append(
-                "quiescence leap: "
-                f"{lon.events_per_sec / loff.events_per_sec:.2f}x on leap pair"
-            )
-    except KeyError:
-        pass
     if report.jobs > 1:
-        lines.append(
-            f"(elapsed {report.elapsed_wall_ms:.1f} ms end-to-end over "
-            f"{report.jobs} worker processes)"
-        )
+        lines.append(f"(elapsed {report.elapsed_wall_ms:.1f} ms end-to-end over "
+                     f"{report.jobs} worker processes)")
     return "\n".join(lines)
 
 
 def report_to_jsonable(report: HostPerfReport, *, quick: bool, seed: int) -> dict:
     return {
-        "meta": {
-            "kind": "host_perf",
-            "quick": quick,
-            "seed": seed,
-            "jobs": report.jobs,
-            "python": sys.version.split()[0],
-        },
+        "meta": {"kind": "host_perf", "quick": quick, "seed": seed, "jobs": report.jobs,
+                 "python": sys.version.split()[0]},
         "aggregate": {
             "events": report.total_events,
             "wall_ms": round(report.total_wall_ms, 3),
@@ -832,22 +473,15 @@ def report_to_jsonable(report: HostPerfReport, *, quick: bool, seed: int) -> dic
             "events_per_sec": round(report.aggregate_events_per_sec, 1),
         },
         "scenarios": [
-            {
-                "name": s.name,
-                "events": s.events,
-                "wall_ms": round(s.wall_ms, 3),
-                "events_per_sec": round(s.events_per_sec, 1),
-                "virtual_ns": s.virtual_ns,
-                "fingerprint": s.fingerprint,
-            }
+            {"name": s.name, "events": s.events, "wall_ms": round(s.wall_ms, 3),
+             "events_per_sec": round(s.events_per_sec, 1), "virtual_ns": s.virtual_ns,
+             "fingerprint": s.fingerprint}
             for s in report.scenarios
         ],
     }
 
 
-# ----------------------------------------------------------------------
 # parallel fan-out: serial vs N-worker comparison (BENCH_parallel.json)
-# ----------------------------------------------------------------------
 @dataclass
 class ParallelComparison:
     """Serial vs ``--jobs N`` for the same matrix: speedup + identity."""
@@ -863,82 +497,57 @@ class ParallelComparison:
 
     @property
     def speedup(self) -> float:
-        if not self.parallel.elapsed_wall_ms:
-            return 0.0
-        return self.serial.elapsed_wall_ms / self.parallel.elapsed_wall_ms
+        par = self.parallel.elapsed_wall_ms
+        return self.serial.elapsed_wall_ms / par if par else 0.0
 
 
 def compare_fingerprints(a: HostPerfReport, b: HostPerfReport) -> list[str]:
     """Scenario-by-scenario fingerprint differences (empty = identical)."""
-    mismatches: list[str] = []
     names_a = [s.name for s in a.scenarios]
     names_b = [s.name for s in b.scenarios]
     if names_a != names_b:
         return [f"scenario sets differ: {names_a} vs {names_b}"]
-    for sa, sb in zip(a.scenarios, b.scenarios):
-        if sa.fingerprint != sb.fingerprint:
-            mismatches.append(
-                f"{sa.name}: fingerprint diverged "
-                f"({sa.fingerprint} vs {sb.fingerprint})"
-            )
-    return mismatches
+    return [
+        f"{sa.name}: fingerprint diverged ({sa.fingerprint} vs {sb.fingerprint})"
+        for sa, sb in zip(a.scenarios, b.scenarios)
+        if sa.fingerprint != sb.fingerprint
+    ]
 
 
 def run_parallel_comparison(
-    *,
-    jobs: int = 4,
-    quick: bool = False,
-    seed: int = 7,
-    timeout_s: Optional[float] = None,
+    *, jobs: int = 4, quick: bool = False, seed: int = 7, timeout_s: Optional[float] = None,
 ) -> ParallelComparison:
     """Run the matrix serially, then with ``jobs`` workers, and compare.
-
-    The virtual outcomes must match exactly — a fingerprint divergence
-    means the fan-out changed the simulation, which would be a bug in the
-    shared-nothing contract, never acceptable noise.  The speedup is
-    whatever the host gives; only identity is gated on.
-    """
+    Any fingerprint divergence is a bug in the shared-nothing contract;
+    the speedup is whatever the host gives, only identity is gated on."""
     if jobs < 2:
         raise ValueError(f"parallel comparison needs jobs >= 2, got {jobs}")
     serial = run_host_perf(quick=quick, seed=seed, jobs=1)
     parallel = run_host_perf(quick=quick, seed=seed, jobs=jobs, timeout_s=timeout_s)
-    return ParallelComparison(
-        jobs=jobs,
-        serial=serial,
-        parallel=parallel,
-        mismatches=compare_fingerprints(serial, parallel),
-    )
+    return ParallelComparison(jobs, serial, parallel, compare_fingerprints(serial, parallel))
 
 
 def format_parallel_comparison(cmp: ParallelComparison) -> str:
     lines = [
-        f"Parallel fan-out: serial vs --jobs {cmp.jobs} "
-        "(same seeds, same virtual outcomes)",
+        f"Parallel fan-out: serial vs --jobs {cmp.jobs} (same seeds, same virtual outcomes)",
         f"{'scenario':<20}{'serial ms':>11}{'par ms':>9}{'fingerprint':>13}",
     ]
-    for ss, ps in zip(cmp.serial.scenarios, cmp.parallel.scenarios):
-        same = ss.fingerprint == ps.fingerprint
-        lines.append(
-            f"{ss.name:<20}{ss.wall_ms:>11.1f}{ps.wall_ms:>9.1f}"
-            f"{'identical' if same else 'DIVERGED':>13}"
-        )
+    lines.extend(
+        f"{ss.name:<20}{ss.wall_ms:>11.1f}{ps.wall_ms:>9.1f}"
+        f"{'identical' if ss.fingerprint == ps.fingerprint else 'DIVERGED':>13}"
+        for ss, ps in zip(cmp.serial.scenarios, cmp.parallel.scenarios)
+    )
     lines.append(
         f"{'ELAPSED':<20}{cmp.serial.elapsed_wall_ms:>11.1f}"
-        f"{cmp.parallel.elapsed_wall_ms:>9.1f}"
-        f"{cmp.speedup:>11.2f}x"
+        f"{cmp.parallel.elapsed_wall_ms:>9.1f}{cmp.speedup:>11.2f}x"
     )
     return "\n".join(lines)
 
 
-def parallel_report_to_jsonable(
-    cmp: ParallelComparison, *, quick: bool, seed: int
-) -> dict:
+def parallel_report_to_jsonable(cmp: ParallelComparison, *, quick: bool, seed: int) -> dict:
     return {
         "meta": {
-            "kind": "host_perf_parallel",
-            "quick": quick,
-            "seed": seed,
-            "jobs": cmp.jobs,
+            "kind": "host_perf_parallel", "quick": quick, "seed": seed, "jobs": cmp.jobs,
             # wall-time speedup is bounded by the cores the host grants;
             # identity of the virtual outcomes is what CI gates on
             "host_cpus": len(os.sched_getaffinity(0))
@@ -951,13 +560,9 @@ def parallel_report_to_jsonable(
         "serial_elapsed_wall_ms": round(cmp.serial.elapsed_wall_ms, 3),
         "parallel_elapsed_wall_ms": round(cmp.parallel.elapsed_wall_ms, 3),
         "scenarios": [
-            {
-                "name": ss.name,
-                "serial_wall_ms": round(ss.wall_ms, 3),
-                "parallel_wall_ms": round(ps.wall_ms, 3),
-                "fingerprint": ss.fingerprint,
-                "fingerprint_identical": ss.fingerprint == ps.fingerprint,
-            }
+            {"name": ss.name, "serial_wall_ms": round(ss.wall_ms, 3),
+             "parallel_wall_ms": round(ps.wall_ms, 3), "fingerprint": ss.fingerprint,
+             "fingerprint_identical": ss.fingerprint == ps.fingerprint}
             for ss, ps in zip(cmp.serial.scenarios, cmp.parallel.scenarios)
         ],
     }
@@ -966,16 +571,11 @@ def parallel_report_to_jsonable(
 def check_regression(
     report: HostPerfReport, baseline_path: str, *, max_regression: float = 2.0
 ) -> list[str]:
-    """Compare against a committed ``BENCH_host_perf.json``.
-
-    Returns a list of failure strings (empty = pass).  A scenario fails
-    when its events/sec dropped by more than ``max_regression``x against
-    the committed number — generous on purpose, since CI machines vary;
-    the committed file is the trajectory anchor, not a tight SLO.
-    Scenarios with no usable baseline entry are announced and skipped
-    rather than silently ignored, so a renamed scenario can't dodge the
-    gate unnoticed.
-    """
+    """Failures (empty = pass) against a committed ``BENCH_host_perf.json``:
+    a scenario (or the aggregate) whose events/sec dropped more than
+    ``max_regression``x — generous on purpose, since hosts vary.  A
+    scenario with no baseline entry is announced and skipped, so a
+    renamed one can't dodge the gate unnoticed."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     by_name = {s["name"]: s for s in baseline.get("scenarios", [])}
@@ -987,118 +587,85 @@ def check_regression(
             continue
         floor = ref["events_per_sec"] / max_regression
         if s.events_per_sec < floor:
-            failures.append(
-                f"{s.name}: {s.events_per_sec:.0f} ev/s < floor {floor:.0f} "
-                f"(committed {ref['events_per_sec']:.0f}, "
-                f"max regression {max_regression}x)"
-            )
+            failures.append(f"{s.name}: {s.events_per_sec:.0f} ev/s < floor {floor:.0f} "
+                            f"(committed {ref['events_per_sec']:.0f}, "
+                            f"max regression {max_regression}x)")
     agg_ref = baseline.get("aggregate", {}).get("events_per_sec")
     if agg_ref:
         floor = agg_ref / max_regression
         if report.aggregate_events_per_sec < floor:
-            failures.append(
-                f"aggregate: {report.aggregate_events_per_sec:.0f} ev/s < "
-                f"floor {floor:.0f} (committed {agg_ref:.0f})"
-            )
+            failures.append(f"aggregate: {report.aggregate_events_per_sec:.0f} ev/s < "
+                            f"floor {floor:.0f} (committed {agg_ref:.0f})")
     return failures
 
 
-def run_profiled(
-    *, quick: bool = False, seed: int = 7, top: int = 25
-) -> dict:
-    """Run the matrix serially under cProfile, one profile per scenario.
+def _profile_rows(items, top: int) -> list[dict]:
+    """The ``top`` rows ``(func key, (ncalls, tottime, cumtime))`` by
+    tottime, as jsonable dicts."""
+    rows = sorted(items, key=lambda kv: kv[1][1], reverse=True)[:top]
+    return [
+        {"func": f"{fname}:{lineno}:{func}", "ncalls": nc,
+         "tottime_ms": round(tt * 1e3, 3), "cumtime_ms": round(ct * 1e3, 3)}
+        for (fname, lineno, func), (nc, tt, ct) in rows
+    ]
 
-    Returns a jsonable artifact: for each scenario, the ``top`` functions
-    by tottime plus the scenario's (distorted — the profiler adds per-call
-    overhead) throughput, and an **aggregate** section merging every
-    scenario's stats into one matrix-wide ranking — the next optimisation
-    target is readable from one artifact instead of eyeballing per-
-    scenario lists against each other.  Meant for ``perf --profile``, so
-    a regression flagged by the gate can be attributed to a function
-    without rerunning anything by hand.
-    """
+
+def run_profiled(*, quick: bool = False, seed: int = 7, top: int = 25) -> dict:
+    """Run the matrix serially under cProfile (``perf --profile``): per
+    scenario, the ``top`` functions by tottime and the (profiler-
+    distorted) throughput, plus an **aggregate** ranking merged over the
+    whole matrix, so a regression the gate flags can be attributed to a
+    function from one artifact."""
     import cProfile
     import pstats
-
-    from repro.par.jobs import resolve_target
 
     scenarios = []
     merged: dict = {}  # func key -> [ncalls, tottime, cumtime]
     for spec in matrix_specs(quick=quick, seed=seed):
-        fn = resolve_target(spec.target)
         prof = cProfile.Profile()
-        result = prof.runcall(fn, **spec.kwargs)
-        stats = pstats.Stats(prof)
-        for key, (cc, nc, tt, ct, _callers) in stats.stats.items():
-            acc = merged.get(key)
-            if acc is None:
-                merged[key] = [nc, tt, ct]
-            else:
-                acc[0] += nc
-                acc[1] += tt
-                acc[2] += ct
-        rows = sorted(
-            stats.stats.items(), key=lambda kv: kv[1][2], reverse=True
-        )[:top]
+        result = prof.runcall(spec.run)
+        # pstats values are (cc, nc, tt, ct, callers)
+        stats = {key: stat[1:4] for key, stat in pstats.Stats(prof).stats.items()}
+        for key, stat in stats.items():
+            acc = merged.setdefault(key, [0, 0.0, 0.0])
+            for i, v in enumerate(stat):
+                acc[i] += v
         scenarios.append({
             "name": spec.name,
             "events": result.events,
             "events_per_sec": round(result.events_per_sec, 1),
-            "top": [
-                {
-                    "func": f"{fname}:{lineno}:{func}",
-                    "ncalls": nc,
-                    "tottime_ms": round(tt * 1e3, 3),
-                    "cumtime_ms": round(ct * 1e3, 3),
-                }
-                for (fname, lineno, func), (cc, nc, tt, ct, _callers) in rows
-            ],
+            "top": _profile_rows(stats.items(), top),
         })
-    agg_rows = sorted(merged.items(), key=lambda kv: kv[1][1], reverse=True)[:top]
-    aggregate = {
-        "events": sum(s["events"] for s in scenarios),
-        "top": [
-            {
-                "func": f"{fname}:{lineno}:{func}",
-                "ncalls": nc,
-                "tottime_ms": round(tt * 1e3, 3),
-                "cumtime_ms": round(ct * 1e3, 3),
-            }
-            for (fname, lineno, func), (nc, tt, ct) in agg_rows
-        ],
-    }
     return {
-        "meta": {
-            "kind": "host_perf_profile",
-            "quick": quick,
-            "seed": seed,
-            "top": top,
-            "profiled": True,
-            "python": sys.version.split()[0],
-        },
+        "meta": {"kind": "host_perf_profile", "quick": quick, "seed": seed, "top": top,
+                 "profiled": True, "python": sys.version.split()[0]},
         "scenarios": scenarios,
-        "aggregate_profile": aggregate,
+        "aggregate_profile": {
+            "events": sum(s["events"] for s in scenarios),
+            "top": _profile_rows(merged.items(), top),
+        },
     }
 
 
 def format_profile(doc: dict, *, show: int = 5) -> str:
     lines = ["Host performance profile (cProfile, tottime per scenario)"]
-    for s in doc["scenarios"]:
-        lines.append(f"{s['name']}  ({s['events']} events)")
-        for row in s["top"][:show]:
-            lines.append(
-                f"  {row['tottime_ms']:>9.2f} ms  {row['ncalls']:>8} calls  "
-                f"{row['func']}"
-            )
+    sections = [(f"{s['name']}  ({s['events']} events)", s["top"][:show])
+                for s in doc["scenarios"]]
     agg = doc.get("aggregate_profile")
     if agg:
-        lines.append(f"AGGREGATE (whole matrix, {agg['events']} events)")
-        for row in agg["top"][: 2 * show]:
-            lines.append(
-                f"  {row['tottime_ms']:>9.2f} ms  {row['ncalls']:>8} calls  "
-                f"{row['func']}"
-            )
+        sections.append((f"AGGREGATE (whole matrix, {agg['events']} events)",
+                         agg["top"][: 2 * show]))
+    for title, rows in sections:
+        lines.append(title)
+        lines.extend(f"  {row['tottime_ms']:>9.2f} ms  {row['ncalls']:>8} calls  {row['func']}"
+                     for row in rows)
     return "\n".join(lines)
+
+
+def _dump(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+    print(f"\nwrote {path}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1114,34 +681,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     ap.add_argument("--out", metavar="PATH", default="BENCH_host_perf.json",
                     help="where to write the JSON report (default ./BENCH_host_perf.json)")
-    ap.add_argument("--quick", action="store_true",
-                    help="reduced matrix for CI smoke runs")
+    ap.add_argument("--quick", action="store_true", help="reduced matrix for CI smoke runs")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
                     help="run the scenario matrix over N worker processes "
                     "('auto' or 0 = every CPU; default 1 = serial; virtual "
                     "outcomes are identical either way)")
     ap.add_argument("--job-timeout", type=float, default=None, metavar="S",
-                    help="per-scenario wall-clock limit in seconds when "
-                    "using --jobs")
+                    help="per-scenario wall-clock limit in seconds when using --jobs")
     ap.add_argument("--parallel-report", metavar="PATH", default=None,
-                    help="run the matrix serially AND with --jobs workers, "
-                    "write the speedup/identity comparison to PATH "
-                    "(exits non-zero if the fingerprints diverge)")
-    ap.add_argument("--baseline", metavar="PATH", default=None,
-                    help="compare against a committed BENCH_host_perf.json "
-                    "and exit non-zero on regression")
-    ap.add_argument("--max-regression", type=float, default=2.0,
-                    help="events/sec slowdown factor that fails --baseline "
-                    "comparison (default 2.0)")
+                    help="run the matrix serially AND with --jobs workers, write the "
+                    "speedup/identity comparison to PATH (exits non-zero if the "
+                    "fingerprints diverge)")
+    ap.add_argument("--baseline", metavar="PATH", default=None, help="compare against a "
+                    "committed BENCH_host_perf.json and exit non-zero on regression")
+    ap.add_argument("--max-regression", type=float, default=2.0, help="events/sec slowdown "
+                    "factor that fails --baseline comparison (default 2.0)")
     ap.add_argument("--profile", metavar="PATH", default=None,
-                    help="run the matrix serially under cProfile and write "
-                    "the top functions by tottime per scenario to PATH as "
-                    "JSON; profiled throughput is distorted, so no "
-                    "BENCH report is written in this mode")
+                    help="run the matrix serially under cProfile and write the top "
+                    "functions by tottime per scenario to PATH as JSON; profiled "
+                    "throughput is distorted, so no BENCH report is written")
     ap.add_argument("--profile-top", type=int, default=25, metavar="N",
-                    help="functions kept per scenario in the --profile "
-                    "artifact (default 25)")
+                    help="functions kept per scenario in the --profile artifact (default 25)")
     args = ap.parse_args(argv)
     # each mode writes one report, after the matrix: check it up front
     if check_outputs(
@@ -1151,46 +712,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     ):
         return 2
     if args.profile:
-        doc = run_profiled(
-            quick=args.quick, seed=args.seed, top=args.profile_top
-        )
+        doc = run_profiled(quick=args.quick, seed=args.seed, top=args.profile_top)
         print(format_profile(doc))
-        with open(args.profile, "w") as fh:
-            json.dump(doc, fh, indent=1)
-        print(f"\nwrote {args.profile}")
+        _dump(args.profile, doc)
         return 0
     if args.parallel_report:
-        jobs = args.jobs if args.jobs > 1 else 4
         cmp = run_parallel_comparison(
-            jobs=jobs, quick=args.quick, seed=args.seed,
+            jobs=args.jobs if args.jobs > 1 else 4, quick=args.quick, seed=args.seed,
             timeout_s=args.job_timeout,
         )
         print(format_parallel_comparison(cmp))
-        with open(args.parallel_report, "w") as fh:
-            json.dump(
-                parallel_report_to_jsonable(cmp, quick=args.quick, seed=args.seed),
-                fh, indent=1,
-            )
-        print(f"\nwrote {args.parallel_report}")
-        if not cmp.identical:
-            for m in cmp.mismatches:
-                print(f"PARALLEL DIVERGENCE: {m}", file=sys.stderr)
-            return 1
-        return 0
-    report = run_host_perf(
-        quick=args.quick, seed=args.seed, jobs=args.jobs,
-        timeout_s=args.job_timeout,
-    )
+        _dump(args.parallel_report,
+              parallel_report_to_jsonable(cmp, quick=args.quick, seed=args.seed))
+        for m in cmp.mismatches:
+            print(f"PARALLEL DIVERGENCE: {m}", file=sys.stderr)
+        return 0 if cmp.identical else 1
+    report = run_host_perf(quick=args.quick, seed=args.seed, jobs=args.jobs,
+                           timeout_s=args.job_timeout)
     print(format_host_perf(report))
+    doc = report_to_jsonable(report, quick=args.quick, seed=args.seed)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report_to_jsonable(report, quick=args.quick, seed=args.seed),
-                      fh, indent=1)
-        print(f"\nwrote {args.out}")
+        _dump(args.out, doc)
     if args.baseline:
-        failures = check_regression(
-            report, args.baseline, max_regression=args.max_regression
-        )
+        failures = check_regression(report, args.baseline, max_regression=args.max_regression)
         if failures:
             for f in failures:
                 print(f"PERF REGRESSION: {f}", file=sys.stderr)
@@ -1201,14 +745,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
                 with open(args.baseline) as fh:
                     base_doc = json.load(fh)
-                new_doc = report_to_jsonable(
-                    report, quick=args.quick, seed=args.seed
-                )
                 print("\nregression blame (bench diff vs baseline):")
-                print(format_diff(diff_docs(base_doc, new_doc)))
+                print(format_diff(diff_docs(base_doc, doc)))
             except Exception as exc:  # blame is best-effort on a failing gate
                 print(f"(blame report unavailable: {exc})", file=sys.stderr)
             return 1
-        print(f"perf check ok vs {args.baseline} "
-              f"(max regression {args.max_regression}x)")
+        print(f"perf check ok vs {args.baseline} (max regression {args.max_regression}x)")
     return 0

@@ -82,6 +82,33 @@ class PIOManLatency:
     schedule_pass_empty: Histogram = field(default_factory=Histogram)
 
 
+class PassCost:
+    """One core's settled-empty Algorithm-1 pass, precomputed: the pass
+    and summary-hit counters, one local read hit on an empty queue per
+    scan-path level (``pairs`` of queue stats and state-line stats), and
+    the batched probe cost ``compute`` (``ns`` long).  The primed fast
+    pass books it once, the quiescence leap ``k`` times — the one place
+    this accounting lives, so the replays cannot drift from each other."""
+
+    __slots__ = ("stats", "sstats", "pairs", "compute", "ns")
+
+    def __init__(self, stats, sstats, path, local_ns: int) -> None:
+        self.stats = stats
+        self.sstats = sstats
+        self.pairs = tuple((q.stats, q.state_line.stats) for q in path)
+        self.compute = Compute(len(path) * local_ns)
+        self.ns = self.compute.ns
+
+    def book(self, k: int) -> None:
+        """Account ``k`` settled-empty passes (the caller charges the time)."""
+        self.stats.schedule_passes += k
+        self.sstats.summary_hits += k
+        for qstats, lstats in self.pairs:
+            lstats.reads += k
+            lstats.read_hits += k
+            qstats.empty_checks += k
+
+
 class PIOMan:
     """The lightweight task scheduling system (the paper's contribution)."""
 
@@ -125,10 +152,9 @@ class PIOMan:
         self._scan_paths = self.hierarchy._scan_paths
         # Occupancy-summary fast path (see schedule_once): per-core tables
         # precomputed so the primed empty pass touches no queue objects.
-        # _fast_pairs replays the probe counters of a settled-empty path
-        # ((queue stats, line stats) per level), _fast_compute is the
-        # reusable batched-cost instruction (instructions are read-only to
-        # the interpreter, like the idle loop's pooled instances), and
+        # _pass_costs holds each core's settled-empty PassCost (its
+        # batched Compute is reused: instructions are read-only to the
+        # interpreter, like the idle loop's pooled instances), and
         # _scan_entries carries the per-queue replay tuple for the dequeue
         # loop: (queue, bit, queue stats, line, line stats, replayable).
         self.summary_fastpath = bool(summary_fastpath)
@@ -136,14 +162,12 @@ class PIOMan:
         self._local_ns = local_ns
         self._xfer_m = machine._xfer
         self._scan_masks = self.hierarchy.scan_masks
-        self._fast_pairs = []
-        self._fast_compute = []
+        sstats = self.hierarchy.summary_stats
+        self._pass_costs = [
+            PassCost(self.stats, sstats, path, local_ns) for path in self._scan_paths
+        ]
         self._scan_entries = []
         for path in self._scan_paths:
-            self._fast_pairs.append(
-                [(q.stats, q.state_line.stats) for q in path]
-            )
-            self._fast_compute.append(Compute(len(path) * local_ns))
             self._scan_entries.append(
                 [
                     (
@@ -157,12 +181,6 @@ class PIOMan:
                     for q in path
                 ]
             )
-        # One tuple load per fast_pass call instead of five attribute
-        # chains (stats, summary stats, pairs, batched instruction).
-        self._fast_ctx = [
-            (self.stats, self.hierarchy.summary_stats, pairs, comp)
-            for pairs, comp in zip(self._fast_pairs, self._fast_compute)
-        ]
         # Locks report contended handoffs onto the same trace stream, so
         # the analyzer can line contention intervals up with task slices;
         # queues add the submit->enqueue causal edge.
@@ -205,41 +223,16 @@ class PIOMan:
         return LTask(func, arg, **kwargs)
 
     def submit(self, core: int, task: LTask) -> Generator[Instr, Any, LTask]:
-        """Submit ``task`` from ``core`` (thread-context generator).
-
-        Binds the completion flag (home = submitting core, like the
-        paper's task structure embedded in the submitter's packet
-        wrapper), routes the CPU set, enqueues, rings doorbells.
-        """
+        """Submit ``task`` from ``core`` (thread-context generator): bind
+        its completion flag, route its CPU set, enqueue, ring doorbells."""
         if task.state is not TaskState.CREATED:
             raise RuntimeError(f"submit of {task.name!r} in state {task.state}")
         spec = self.machine.spec
         yield Compute(spec.task_init_ns)
-        if not task.name:
-            self._anon_seq += 1
-        task.completion = Flag(
-            self.machine, self.engine, home=core,
-            name=f"done:{task.name or f'anon{self._anon_seq}'}",
-        )
-        task.submit_core = core
-        task.submit_time = self.engine.now
-        queue = self.hierarchy.queue_for_cpuset(task.cpuset)
+        queue = self._bind(core, task)
         yield Compute(spec.submit_route_ns)
         yield from queue.enqueue(core, task)
-        self.stats.submits += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.engine.now, "pioman", f"core{core}",
-                f"submit {task.name} -> {queue.name}",
-                phase="submit", task=task.name, queue=queue.name, core=core,
-            )
-        if self.scheduler is not None:
-            # Only cores that may run the task spin on its queue.
-            ringable = task.cpuset & queue.node.cpuset
-            cause = None
-            if self.tracer.enabled and task.name:
-                cause = (f"T:{task.name}/enq", self.engine.now)
-            self.scheduler.ring_cpuset(ringable, core, cause=cause)
+        self._announce(core, task, queue)
         return task
 
     def submit_nowait(self, core: int, task: LTask) -> LTask:
@@ -252,6 +245,15 @@ class PIOMan:
         """
         if task.state is not TaskState.CREATED:
             raise RuntimeError(f"submit of {task.name!r} in state {task.state}")
+        queue = self._bind(core, task)
+        queue.enqueue_nowait(core, task)
+        self._announce(core, task, queue)
+        return task
+
+    def _bind(self, core: int, task: LTask) -> TaskQueue:
+        """Bind ``task``'s completion flag (home = submitting core, like
+        the paper's task structure embedded in the submitter's packet
+        wrapper), stamp the submission, and route its CPU set to a queue."""
         if not task.name:
             self._anon_seq += 1
         task.completion = Flag(
@@ -260,8 +262,11 @@ class PIOMan:
         )
         task.submit_core = core
         task.submit_time = self.engine.now
-        queue = self.hierarchy.queue_for_cpuset(task.cpuset)
-        queue.enqueue_nowait(core, task)
+        return self.hierarchy.queue_for_cpuset(task.cpuset)
+
+    def _announce(self, core: int, task: LTask, queue: TaskQueue) -> None:
+        """Count and trace an enqueued submission, and ring the doorbells
+        of the cores that may run it (only they spin on its queue)."""
         self.stats.submits += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -270,12 +275,10 @@ class PIOMan:
                 phase="submit", task=task.name, queue=queue.name, core=core,
             )
         if self.scheduler is not None:
-            ringable = task.cpuset & queue.node.cpuset
             cause = None
             if self.tracer.enabled and task.name:
                 cause = (f"T:{task.name}/enq", self.engine.now)
-            self.scheduler.ring_cpuset(ringable, core, cause=cause)
-        return task
+            self.scheduler.ring_cpuset(task.cpuset & queue.node.cpuset, core, cause=cause)
 
     def submit_preemptive(self, core: int, task: LTask) -> Generator[Instr, Any, LTask]:
         """Future-work extension (§VI): run ``task`` at once on a remote
@@ -340,17 +343,11 @@ class PIOMan:
         identical to the slow scan: same virtual cost, same counters, same
         single-instruction stream.
         """
-        hier = self.hierarchy
-        if not hier.primed_mask >> core & 1:
+        if not self.hierarchy.primed_mask >> core & 1:
             return None
-        stats, sstats, pairs, compute = self._fast_ctx[core]
-        stats.schedule_passes += 1
-        sstats.summary_hits += 1
-        for qstats, lstats in pairs:
-            lstats.reads += 1
-            lstats.read_hits += 1
-            qstats.empty_checks += 1
-        return compute
+        cost = self._pass_costs[core]
+        cost.book(1)
+        return cost.compute
 
     def leap_ready(self, core: int) -> Optional[int]:
         """Quiescence-leap eligibility probe: when ``core`` is primed
@@ -359,7 +356,7 @@ class PIOMan:
         """
         if not self.hierarchy.primed_mask >> core & 1:
             return None
-        return self._fast_compute[core].ns
+        return self._pass_costs[core].ns
 
     def leap_commit(self, core: int, k1: int, k2: int, span_ns: int) -> None:
         """Replay elided :meth:`fast_pass` rounds in O(1).
@@ -373,14 +370,8 @@ class PIOMan:
         caller) — same counters, same histogram state as ``k1``/``k2``
         slow iterations.
         """
-        stats, sstats, pairs, _compute = self._fast_ctx[core]
         if k1:
-            stats.schedule_passes += k1
-            sstats.summary_hits += k1
-            for qstats, lstats in pairs:
-                lstats.reads += k1
-                lstats.read_hits += k1
-                qstats.empty_checks += k1
+            self._pass_costs[core].book(k1)
         if k2:
             self.latency.schedule_pass_empty.record_many(span_ns, k2)
 
@@ -415,29 +406,23 @@ class PIOMan:
         contended = False
         engine = self.engine
         pass_start = engine.now
-        self.stats.schedule_passes += 1
         hier = self.hierarchy
         fast_on = self.summary_fastpath
         if fast_on:
-            sstats = hier.summary_stats
             if hier.primed_mask >> core & 1:
                 # O(1) empty pass: the path is settled-empty and nothing
-                # was written since it was proven so.  Replay the slow
-                # walk's exact accounting: each level's probe would be a
-                # local hit on an empty queue (priming guarantees this
-                # core is a sharer of every level's emptiness line).
-                sstats.summary_hits += 1
-                for qstats, lstats in self._fast_pairs[core]:
-                    lstats.reads += 1
-                    lstats.read_hits += 1
-                    qstats.empty_checks += 1
-                yield self._fast_compute[core]
+                # was written since it was proven so; fast_pass replays
+                # the slow walk's exact accounting (each level's probe
+                # would be a local hit on an empty queue — priming
+                # guarantees this core shares every level's emptiness line).
+                yield self.fast_pass(core)
                 self._rec_pass_empty(engine.now - pass_start)
                 return 0, 0, False
             if hier.summary & self._scan_masks[core]:
-                sstats.summary_misses += 1
+                hier.summary_stats.summary_misses += 1
             else:
-                sstats.stale_bits += 1
+                hier.summary_stats.stale_bits += 1
+        self.stats.schedule_passes += 1
         # Batched-probe path: probe the whole scan path first and charge
         # one batch of read costs.  When everything is (visibly) empty,
         # the pass costs a single event.

@@ -355,15 +355,8 @@ class Scheduler:
                 ran = repeats = 0
                 contended = False
             else:
-                res = yield from hook(core_id)
+                ran, repeats, contended = yield from hook(core_id)
                 hist.record(engine.now - hook_t0)
-                if res is None:
-                    ran = repeats = 0
-                    contended = False
-                elif len(res) == 3:
-                    ran, repeats, contended = res
-                else:  # legacy 2-tuple hooks
-                    ran, repeats, contended = (res + (False,))[:3]
             if backoff is not None:
                 # streak of passes that completed nothing; any doorbell
                 # (_ring_arrive) resets it, so a submission snaps the
@@ -575,18 +568,7 @@ class Scheduler:
         if now - core.last_inject < self.ctx_hook_min_interval_ns:
             return
         core.last_inject = now
-        core.hook_live = True
-        core.keypoint_counts[kind] += 1
-        hook = self.progression_hook
-        hist = self.keypoint_ns[kind]
-
-        def body(ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
-            t0 = self.engine.now
-            yield from hook(ctx.core_id)
-            hist.record(self.engine.now - t0)
-
-        t = self.spawn(body, core.id, name=f"hook-{kind.value}@{core.id}", prio=Prio.SYSTEM)
-        t.is_hook = True
+        self._spawn_hook(core, kind, f"hook-{kind.value}@{core.id}")
         if self.tracer.enabled:
             self.tracer.emit(
                 self.engine.now, "sched", f"core{core.id}", f"inject {kind.value} hook"
@@ -601,20 +583,25 @@ class Scheduler:
         core = self.cores[core_id]
         if self.progression_hook is None or core.hook_live:
             return
-        core.hook_live = True
-        core.keypoint_counts[Keypoint.CTX_SWITCH] += 1
-        hook = self.progression_hook
-        hist = self.keypoint_ns[Keypoint.CTX_SWITCH]
-
-        def body(ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
-            t0 = self.engine.now
-            yield from hook(ctx.core_id)
-            hist.record(self.engine.now - t0)
-
-        t = self.spawn(body, core_id, name=f"hook-inject@{core_id}", prio=Prio.SYSTEM)
-        t.is_hook = True
+        self._spawn_hook(core, Keypoint.CTX_SWITCH, f"hook-inject@{core_id}")
         # behave like an interrupt: do not wait for a slice boundary
         self.interrupt_compute(core_id)
+
+    def _spawn_hook(self, core: CoreState, kind: Keypoint, name: str) -> None:
+        """Run the progression hook once on ``core`` in a SYSTEM-priority
+        hook thread, counted and timed as a ``kind`` keypoint."""
+        core.hook_live = True
+        core.keypoint_counts[kind] += 1
+        hook = self.progression_hook
+        hist = self.keypoint_ns[kind]
+        engine = self.engine
+
+        def body(ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
+            t0 = engine.now
+            yield from hook(ctx.core_id)
+            hist.record(engine.now - t0)
+
+        self.spawn(body, core.id, name=name, prio=Prio.SYSTEM).is_hook = True
 
     # -- timer interrupts ------------------------------------------------
     def _arm_timer(self, core: CoreState) -> None:

@@ -9,8 +9,7 @@ from tests.bench.quickmatrix import perf_quick
 def quick_matrix(tmp_path_factory):
     """``quick_matrix(leap=...)`` returns ``(scenarios by name, report
     path)`` of one ``perf --quick`` run in a fresh process.  Each setting
-    runs once per session, so the default leg (leap on) is shared by
-    every identity test."""
+    runs once per session."""
     runs = {}
 
     def run(*, leap: str = "1"):

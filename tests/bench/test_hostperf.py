@@ -2,6 +2,7 @@
 and the regression gate used by CI's perf-smoke job."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.bench.hostperf import (
     report_to_jsonable,
     run_host_perf,
     run_parallel_comparison,
+    run_scenario,
 )
 
 
@@ -29,9 +31,7 @@ def test_quick_matrix_shape(quick_report):
         "scal_numa32",
         "cluster_ring",
         "idle_spin",
-        "idle_spin_nosummary",
         "leap_on",
-        "leap_off",
         "fault_net",
         "fault_slowcore",
         "fault_storm",
@@ -41,19 +41,36 @@ def test_quick_matrix_shape(quick_report):
     assert quick_report.aggregate_events_per_sec > 0
 
 
+def _row(report, name):
+    (res,) = [s for s in report.scenarios if s.name == name]
+    (spec,) = [s for s in matrix_specs(quick=True, seed=7) if s.name == name]
+    return res, spec.kwargs
+
+
 def test_idle_spin_pair_simulates_identically(quick_report):
-    """idle_spin and idle_spin_nosummary run the same seeded simulation
-    with the occupancy-summary fast path on/off; everything but the fast
-    path's own hit counter must agree, and the fast-path run must have
-    actually exercised the O(1) pass."""
-    on = quick_report.scenario("idle_spin").fingerprint
-    off = quick_report.scenario("idle_spin_nosummary").fingerprint
+    """The matrix's idle_spin row and the same seeded simulation run with
+    the occupancy-summary fast path off: everything but the fast path's
+    own hit counter must agree, and the matrix run must have actually
+    exercised the O(1) pass."""
+    res, kwargs = _row(quick_report, "idle_spin")
+    on = res.fingerprint
+    off = run_scenario(**kwargs, fastpath=False).fingerprint
     strip = lambda fp: {k: v for k, v in fp.items() if k != "summary_hits"}
     assert strip(on) == strip(off)
     assert on["summary_hits"] > on["schedule_passes"] * 0.9, (
         "idle-heavy steady state should be answered by the fast path"
     )
     assert off["summary_hits"] == 0
+
+
+def test_leap_pair_simulates_identically(quick_report):
+    """The matrix's leap_on row and the same seeded simulation with the
+    quiescence leap pinned off; unlike the summary pair, *every*
+    fingerprint counter must agree — the leap replays its accounting."""
+    on, kwargs = _row(quick_report, "leap_on")
+    off = run_scenario(**kwargs, leap=False)
+    assert on.fingerprint == off.fingerprint
+    assert on.virtual_ns == off.virtual_ns
 
 
 def test_virtual_outcomes_are_deterministic(quick_report):
@@ -113,28 +130,27 @@ def test_regression_gate_announces_missing_baseline_entries(
     assert "micro_local: no baseline entry" not in out
 
 
-def test_leap_pair_simulates_identically(quick_report):
-    """leap_on and leap_off run the same seeded simulation with the
-    quiescence leap pinned on/off; unlike the summary pair, *every*
-    fingerprint counter must agree — the leap replays its accounting."""
-    on = quick_report.scenario("leap_on")
-    off = quick_report.scenario("leap_off")
-    assert on.fingerprint == off.fingerprint
-    assert on.virtual_ns == off.virtual_ns
-
-
 def test_matrix_specs_carry_seeds_and_names():
     specs = matrix_specs(quick=True, seed=7)
     assert [s.name for s in specs] == [
         "micro_local", "micro_global", "latency_mt",
-        "scal_numa32", "cluster_ring", "idle_spin", "idle_spin_nosummary",
-        "leap_on", "leap_off",
+        "scal_numa32", "cluster_ring", "idle_spin", "leap_on",
         "fault_net", "fault_slowcore", "fault_storm",
         "cluster_shard2",
     ]
     # the seed lives in the spec, fixed before any worker runs
     assert [s.kwargs["seed"] for s in specs] == [
-        7, 8, 9, 10, 11, 12, 12, 17, 17, 13, 14, 15, 18,
+        7, 8, 9, 10, 11, 12, 17, 13, 14, 15, 18,
+    ]
+
+
+@pytest.mark.parametrize("path", ["BENCH_host_perf.json", "BENCH_parallel.json"])
+def test_committed_reports_list_the_matrix(path):
+    """A committed report is a baseline only for the matrix it was
+    recorded from: it must name exactly today's scenarios, in order."""
+    doc = json.loads((pathlib.Path(__file__).parents[2] / path).read_text())
+    assert [s["name"] for s in doc["scenarios"]] == [
+        s.name for s in matrix_specs()
     ]
 
 

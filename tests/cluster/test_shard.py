@@ -14,6 +14,7 @@ import pytest
 from repro.cluster.shard import ShardSpec, run_sharded, shard_of
 from repro.cluster.workload import WorkloadSpec, verify_completion
 from repro.faults import FaultPlan, NetFaults
+from repro.obs.diff import diff_docs, format_diff
 from repro.par.pool import has_fork
 
 BUILDER = "repro.cluster.workload:build_workload_cluster"
@@ -94,6 +95,22 @@ class TestIdentity:
         forked = run_one(spec, 2, serial=False)
         assert forked.fingerprint() == serial.fingerprint()
         assert forked.snapshot == serial.snapshot
+
+    @pytest.mark.skipif(not has_fork(), reason="platform cannot fork")
+    def test_forked_two_shards_match_single_process(self):
+        # a generated open-arrival hotspot workload, whole vs split across
+        # two forked shard processes; on mismatch the blame report names
+        # the first node whose counters moved (its RNG/id stream depends
+        # on the shard layout)
+        spec = WorkloadSpec(nnodes=24, requests_per_node=4, pattern="hotspot",
+                            arrival="open", rdv_fraction=0.25, seed=23)
+        kwargs = {"spec": spec, "machine": "smp1x2"}
+        ref = run_sharded(BUILDER, kwargs, nshards=1, serial=True)
+        two = run_sharded(BUILDER, kwargs, nshards=2)
+        verify_completion(ref.snapshot, spec)
+        assert two.fingerprint() == ref.fingerprint(), format_diff(
+            diff_docs({"metrics": ref.snapshot}, {"metrics": two.snapshot})
+        )
 
     def test_partition_is_disjoint(self):
         # union_snapshots raises on overlap; also check node coverage

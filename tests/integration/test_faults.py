@@ -16,11 +16,7 @@ import re
 
 import pytest
 
-from repro.bench.hostperf import (
-    _fault_net_scenario,
-    _fault_slowcore_scenario,
-    _fault_storm_scenario,
-)
+from repro.bench.hostperf import run_scenario
 from repro.cluster.cluster import Cluster
 from repro.faults import FaultPlan
 from repro.faults.plan import CancelStorm, LockPreemption, NetFaults, SlowCores
@@ -92,37 +88,32 @@ def test_faulty_run_differs_and_counts_faults():
     ) == faulty
 
 
-#: every fault variant as a (callable, kwargs) pair — small but non-trivial
-_VARIANTS = [
-    ("net", _fault_net_scenario,
-     dict(name="net", msgs=6, size=4096, drop_p=0.2, reorder_p=0.25, seed=13)),
-    ("slowcore", _fault_slowcore_scenario,
-     dict(name="slowcore", reps=20, slow_cores=(1, 3), factor=3.0, seed=14)),
-    ("storm", _fault_storm_scenario,
-     dict(name="storm", decoys=10, gap_us=20, seed=15)),
-]
+#: every fault variant as ``run_scenario`` kwargs (a perf-matrix fault
+#: row, resized) — small but non-trivial
+_VARIANTS = {
+    "net": dict(name="fault_net", iters=6, drop_p=0.2, reorder_p=0.25, seed=13),
+    "slowcore": dict(name="fault_slowcore", reps=20, seed=14),
+    "storm": dict(name="fault_storm", decoys=10, seed=15),
+}
 
 
-@pytest.mark.parametrize("label,fn,kwargs", _VARIANTS, ids=[v[0] for v in _VARIANTS])
-def test_fault_variant_reruns_bit_identically(label, fn, kwargs):
-    a = fn(**kwargs)
-    b = fn(**kwargs)
+@pytest.mark.parametrize("label", _VARIANTS)
+def test_fault_variant_reruns_bit_identically(label):
+    a = run_scenario(**_VARIANTS[label])
+    b = run_scenario(**_VARIANTS[label])
     assert a.fingerprint == b.fingerprint
     assert a.virtual_ns == b.virtual_ns
 
 
 def test_fault_fingerprints_show_nonzero_fault_activity():
     """The variants exist to exercise faults — each must show its kind."""
-    net = _fault_net_scenario(
-        name="net", msgs=6, size=4096, drop_p=0.2, reorder_p=0.25, seed=13
-    )
+    net = run_scenario(**_VARIANTS["net"])
     assert net.fingerprint["drops"] > 0
     assert net.fingerprint["retransmits"] > 0
-    slow = _fault_slowcore_scenario(
-        name="slowcore", reps=20, slow_cores=(1, 3), factor=3.0, seed=14
-    )
+    assert net.fingerprint["messages"] == 12  # 6 sent + 6 received
+    slow = run_scenario(**_VARIANTS["slowcore"])
     assert slow.fingerprint["slow_cores"] == 2
-    storm = _fault_storm_scenario(name="storm", decoys=10, gap_us=20, seed=15)
+    storm = run_scenario(**_VARIANTS["storm"])
     assert storm.fingerprint["cancel_hits"] > 0
     assert storm.fingerprint["lock_preemptions"] > 0
 
@@ -130,10 +121,9 @@ def test_fault_fingerprints_show_nonzero_fault_activity():
 @pytest.mark.skipif(not has_fork(), reason="platform lacks fork")
 def test_fault_variants_identical_under_jobs_fanout():
     """``--jobs N`` must not perturb a single fault draw."""
-    mod = "repro.bench.hostperf"
     specs = [
-        JobSpec(name=label, target=f"{mod}:{fn.__name__}", kwargs=kwargs)
-        for label, fn, kwargs in _VARIANTS
+        JobSpec(name=label, target="repro.bench.hostperf:run_scenario", kwargs=kwargs)
+        for label, kwargs in _VARIANTS.items()
     ]
     serial = run_jobs_strict(specs, jobs=1)
     fanned = run_jobs_strict(specs, jobs=3)
