@@ -1,11 +1,34 @@
-"""A5 (idle backoff) and A6 (faults) ablation smoke: each ablation's two
-legs run the same seeded workload, and the deterministic virtual outcome
-must show the effect the ablation exists to measure.  Latency and
-makespan ratios are printed, never gated beyond their direction."""
+"""A4 per-core, A5 (idle backoff) and A6 (faults) ablation smoke: each
+ablation's two legs run the same seeded workload, and the deterministic
+virtual outcome must show the effect the ablation exists to measure.
+Latency and makespan ratios are printed, never gated beyond their
+direction or band.  (The other ablations are checked at paper scale by
+``tools/make_experiments.py``.)"""
 
 import pytest
 
 from repro.bench.ablations import backoff_leg, faults_leg
+from repro.bench.task_microbench import measure_queue
+from repro.core.queues import TaskQueue
+from repro.core.variants import LockFreeTaskQueue
+from repro.topology import CpuSet, kwak
+
+
+def _per_core_leg(lockfree):
+    """A4's uncontended case: core #0's own queue, spinlock vs CAS."""
+    return measure_queue(
+        kwak(), CpuSet.single(0),
+        label="core#0-lockfree" if lockfree else "core#0", reps=120, seed=13,
+        queue_factory=LockFreeTaskQueue if lockfree else TaskQueue,
+    )
+
+
+def _lockfree_per_core_effect(locked, lockfree):
+    # on an uncontended per-core queue the two designs are comparable
+    assert abs(locked.mean_ns - lockfree.mean_ns) < 0.3 * locked.mean_ns, (
+        locked.mean_ns, lockfree.mean_ns)
+    print(f"ok: per-core round-trip spinlock {locked.mean_ns:.0f} ns vs "
+          f"lock-free {lockfree.mean_ns:.0f} ns")
 
 
 def _backoff_effect(fixed, adapt):
@@ -29,6 +52,8 @@ def _faults_effect(clean, faulty):
 
 #: ablation -> (leg, baseline kwargs, ablated kwargs, effect check)
 ABLATIONS = {
+    "A4-lockfree-per-core": (_per_core_leg, dict(lockfree=False),
+                             dict(lockfree=True), _lockfree_per_core_effect),
     "A5-backoff": (backoff_leg, dict(backoff=False, ntasks=10),
                    dict(backoff=True, ntasks=10), _backoff_effect),
     "A6-faults": (faults_leg, dict(faulty=False, msgs=16, seed=31),

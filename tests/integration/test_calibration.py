@@ -4,7 +4,7 @@ The latency constants in the machine specs were fitted once against the
 paper's uncontended rows (docs/INTERNALS.md §5); everything contended is
 emergent.  These bands pin both against regressions: if a scheduler or
 memory-model change silently shifts the physics, this file fails before
-the benchmark suite does.
+the EXPERIMENTS.md regeneration and its byte-diff do.
 """
 
 import pytest

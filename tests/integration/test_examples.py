@@ -1,5 +1,5 @@
-"""The fast examples must run end-to-end (the slow latency/overlap demos
-are exercised by the benchmark suite instead)."""
+"""The fast examples must run end-to-end (the slow latency/overlap runs
+are exercised by the EXPERIMENTS.md regeneration instead)."""
 
 import runpy
 import sys

@@ -1,7 +1,8 @@
 """Fast integration checks of the paper's qualitative results.
 
-These are scaled-down versions of the benchmark assertions so that
-``pytest tests/`` alone validates the reproduction's headline claims.
+These are scaled-down versions of the paper-scale shape checks that
+``tools/make_experiments.py`` runs before it writes EXPERIMENTS.md, so
+that ``pytest tests/`` alone validates the reproduction's headline claims.
 """
 
 import pytest

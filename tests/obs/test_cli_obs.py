@@ -28,6 +28,7 @@ def test_cli_emits_metrics_and_trace(tmp_path, capsys):
     assert any(k.endswith(".lock.contention_ratio") for k in snap)
     shares = {k: v for k, v in snap.items() if ".shares." in k}
     assert shares and abs(sum(shares.values()) - 1.0) < 1e-9
+    assert any(k.endswith(".latency.submit_to_complete.p99") for k in snap)
 
     trace = json.loads(t_out.read_text())
     assert trace["traceEvents"]

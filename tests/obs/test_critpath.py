@@ -1,16 +1,20 @@
 """Critical-path extraction: synthetic chains, fault_net attribution,
-sum-to-makespan invariant, zero-overhead of the edge instrumentation."""
+sum-to-makespan invariant, zero-overhead of the edge instrumentation,
+and the faulty-run trace the fault-smoke CI job analyzes."""
 
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.faults import FaultPlan, NetFaults
+from repro.faults import FaultPlan, LockPreemption, NetFaults
 from repro.mpi import MadMPI
 from repro.obs import (
     analyze_trace,
+    analyze_trace_file,
     chrome_trace,
     extract_critical_path,
+    format_analysis,
     format_critical_path,
+    write_chrome_trace,
 )
 from repro.obs.critpath import CATEGORIES
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -91,8 +95,9 @@ def test_lock_overlay_reallocates_wait_time():
     assert sum(cp.totals.values()) == cp.makespan_ns
 
 
-def _fault_cluster_run(tracer):
-    plan = FaultPlan(seed=42, net=NetFaults(drop_p=0.15, reorder_p=0.2))
+def _fault_cluster_run(
+    tracer, plan=FaultPlan(seed=42, net=NetFaults(drop_p=0.15, reorder_p=0.2))
+):
     cl = Cluster(2, seed=7, tracer=tracer, faults=plan)
     mpi = MadMPI(cl)
     c0, c1 = mpi.comm(0), mpi.comm(1)
@@ -165,3 +170,26 @@ def test_analysis_meta_counts_edges(fault_net_tracer):
     assert a.meta["events"] == len(fault_net_tracer.records)
     assert a.meta["makespan_ns"] == a.span_ns > 0
     assert a.meta["events_per_sec"] > 0
+    # the analyzer sees the injected faults of a real run and reports them
+    kinds = {f.kind: f.events for f in a.faults}
+    assert kinds.get("drop", 0) > 0 and kinds.get("retransmit", 0) > 0, kinds
+    assert "injected-fault tail impact" in format_analysis(a)
+
+
+def test_faulty_run_writes_fault_trace(tmp_path_factory):
+    """Writes ``fault_trace.json`` at the root of pytest's base temp dir:
+    net loss/reorder plus lock-holder preemption on the exchange above.
+    The fault-smoke CI job pins that dir with ``--basetemp`` and feeds
+    the file to the ``analyze`` and ``render`` CLI steps."""
+    tracer = Tracer(enabled=True)
+    cl = _fault_cluster_run(tracer, FaultPlan(
+        seed=42,
+        net=NetFaults(drop_p=0.15, reorder_p=0.2),
+        lock_preemption=LockPreemption(p=0.1, window_ns=30_000),
+    ))
+    path = str(tmp_path_factory.getbasetemp() / "fault_trace.json")
+    n = write_chrome_trace(path, tracer,
+                           meta={"ncores": cl.nodes[0].machine.ncores})
+    assert n > 0
+    assert cl.faults.stats.lock_preemptions > 0
+    assert analyze_trace_file(path).fault_events > 0

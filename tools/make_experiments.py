@@ -1,13 +1,20 @@
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table & figure.
 
-Run:  python3 tools/make_experiments.py              (takes a few minutes)
-      python3 tools/make_experiments.py --jobs 4     (multi-process fan-out)
+Run:  python3 tools/make_experiments.py              (serial, ~3 min)
+      python3 tools/make_experiments.py --jobs 2     (~97 s on a 2-CPU host)
 
 Every section is an independent seeded simulation, so the heavy runs are
 declared as ``repro.par`` job specs and fanned out over worker processes
 when ``--jobs > 1``; the rendered markdown is bit-identical to a serial
 run either way (results merge back in spec order, seeds live in the
 specs).
+
+Before anything is written, every paper shape the report claims is
+checked on those same results (``shape_checks``): orderings, growth with
+core and thread count, who overlaps where.  A failing check is printed
+by name, the script exits 1 and EXPERIMENTS.md is left as it was.  CI
+runs the script and then ``git diff --exit-code EXPERIMENTS.md``, so a
+moved number fails with a readable diff.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ import argparse
 import io
 import sys
 
+from repro.bench.bandwidth import format_bandwidth
+from repro.bench.overlap import compute_grid
 from repro.bench.paper_targets import targets_for
 from repro.bench.reporting import format_latency, format_microbench, format_overlap
-from repro.bench.bandwidth import format_bandwidth
+from repro.net.driver import IB_CONNECTX
 from repro.par import JobSpec, run_jobs_strict
 
 OUT = "EXPERIMENTS.md"
@@ -77,7 +86,165 @@ SPECS = [
 ]
 
 
-def main(argv: list[str] | None = None) -> None:
+def _by_size(series) -> list[tuple[int, dict]]:
+    """Overlap series grouped as ``(size_bytes, {impl: series})``."""
+    groups: dict[int, dict] = {}
+    for s in series:
+        groups.setdefault(s.size_bytes, {})[s.impl] = s
+    return sorted(groups.items())
+
+
+def shape_checks(res: dict) -> list[tuple[str, bool]]:
+    """Every qualitative claim of the paper, as ``(name, holds)`` rows
+    evaluated on the results this regeneration computed."""
+    checks: list[tuple[str, bool]] = []
+
+    def check(name: str, holds) -> None:
+        checks.append((name, bool(holds)))
+
+    # Table I: flat per-core rows with a local/remote split, per-chip
+    # rows above per-core, a collapsed global queue
+    t1 = res["table_borderline"]
+    ref = t1.reference_ns()
+    sibling = t1.row_by_label("core#1").mean_ns
+    remotes = [t1.row_by_label(f"core#{c}").mean_ns for c in range(2, 8)]
+    chips = [r.mean_ns for r in t1.per_level["chip"]]
+    g = t1.global_row.mean_ns
+    check("table1: local <= sibling <= every remote core",
+          ref <= sibling <= min(remotes))
+    check("table1: remote rows flat (spread < 0.15x local)",
+          max(remotes) - min(remotes) < 0.15 * ref)
+    check("table1: remote overhead < 600 ns", max(remotes) - ref < 600)
+    check("table1: per-chip rows >= local", min(chips) >= ref)
+    check("table1: global > 2.5x local", g > 2.5 * ref)
+    check("table1: global > every per-chip row", g > max(chips))
+    check("table1: global pickup spread over >= 5 cores",
+          len(t1.global_row.shares) >= 5)
+
+    # Table II: a ~1 us remote-NUMA step, a global queue an order of
+    # magnitude up, NUMA-unbalanced pickup
+    t2 = res["table_kwak"]
+    ref = t2.reference_ns()
+    local = [t2.row_by_label(f"core#{c}").mean_ns for c in range(4)]
+    remote = [t2.row_by_label(f"core#{c}").mean_ns for c in range(4, 16)]
+    g = t2.global_row.mean_ns
+    node_share = [0.0] * 4
+    for core, share in t2.global_row.shares.items():
+        node_share[core // 4] += share
+    # uniform expectation: core #0 submits, the other 15 race
+    expected = [(4 - (n == 0)) / 15.0 for n in range(4)]
+    check("table2: remote-NUMA gap in (500, 2500) ns",
+          500 < min(remote) - max(local) < 2_500)
+    check("table2: remote rows flat (spread < 0.15x local)",
+          max(remote) - min(remote) < 0.15 * ref)
+    check("table2: global > 8x local", g > 8 * ref)
+    check("table2: global > every per-level row",
+          g > max(r.mean_ns for rows in t2.per_level.values() for r in rows))
+    check("table2: busiest NUMA node > 1.15x its uniform pickup share",
+          max(s / e for s, e in zip(node_share, expected)) > 1.15)
+
+    check("growth: kwak global > 1.5x borderline global",
+          res["growth_kwak"].global_row.mean_ns
+          > 1.5 * res["growth_borderline"].global_row.mean_ns)
+
+    # Fig. 4: PIOMan flat past the core count, MVAPICH-like grows
+    fig4 = {s.impl: s for s in res["fig4"]}
+    check("fig4: OpenMPI skipped (mt-unstable, as in the paper)",
+          "OpenMPI" not in fig4)
+    pio, mva = fig4["PIOMan"], fig4["MVAPICH"]
+    counts = [p.threads for p in pio.points]
+    lo, hi = counts[0], counts[-1]
+    for n in counts:
+        check(f"fig4: PIOMan at {n} threads < 1.4x its {lo}-thread latency",
+              pio.latency_at(n) < 1.4 * pio.latency_at(lo))
+    check(f"fig4: MVAPICH at {hi} threads > 3x its {lo}-thread latency",
+          mva.latency_at(hi) > 3 * mva.latency_at(lo))
+    check(f"fig4: MVAPICH > 2x PIOMan at {hi} threads",
+          mva.latency_at(hi) > 2 * pio.latency_at(hi))
+
+    # Figs. 5-7 on the grids the specs ran
+    npoints = {s.name: s.kwargs.get("npoints") for s in SPECS}
+    for s in res["fig5"]:
+        tag = f"fig5 {s.impl} {s.size_bytes}B"
+        ratios = [p.ratio for p in s.points]
+        check(f"{tag}: tail ratio > 0.85",
+              s.ratio_at(compute_grid(s.size_bytes, npoints["fig5"])[-1]) > 0.85)
+        check(f"{tag}: ratio non-decreasing (0.05 slack)",
+              all(b >= a - 0.05 for a, b in zip(ratios, ratios[1:])))
+    for size, group in _by_size(res["fig6"]):
+        grid = compute_grid(size, npoints["fig6"])
+        mid = grid[len(grid) // 2]
+        pio = group["PIOMan"]
+        for base in ("MVAPICH", "OpenMPI"):
+            check(f"fig6 {size}B: PIOMan > {base} + 0.15 at {mid} ns",
+                  pio.ratio_at(mid) > group[base].ratio_at(mid) + 0.15)
+        check(f"fig6 {size}B: PIOMan tail ratio > 0.9",
+              pio.ratio_at(grid[-1]) > 0.9)
+    for size, group in _by_size(res["fig7"]):
+        grid = compute_grid(size, npoints["fig7"])
+        pio = group["PIOMan"]
+        tail = pio.ratio_at(grid[-1])
+        check(f"fig7 {size}B: PIOMan tail ratio > 0.8", tail > 0.8)
+        for base in ("MVAPICH", "OpenMPI"):
+            check(f"fig7 {size}B: PIOMan tail >= {base} tail - 0.02",
+                  tail >= group[base].ratio_at(grid[-1]) - 0.02)
+        check(f"fig7 {size}B: PIOMan opens a > 0.1 gap over MVAPICH",
+              max(pio.ratio_at(x) - group["MVAPICH"].ratio_at(x)
+                  for x in grid[1:]) > 0.1)
+
+    suite = res["ablations"]
+    check("A1: flat burst > 1.5x hierarchical",
+          suite.a1_flat.mean_burst_ns > 1.5 * suite.a1_hier.mean_burst_ns)
+    check("A1: flat contends more than hierarchical",
+          suite.a1_flat.lock_contended > suite.a1_hier.lock_contended)
+    check("A2: mutex burst > 1.2x spinlock",
+          suite.a2_mutex.mean_burst_ns > 1.2 * suite.a2_spin.mean_burst_ns)
+    check("A3: always-lock > double-checked",
+          suite.a3_always.mean_ns > suite.a3_checked.mean_ns)
+    check("A4: lock-free global queue < spinlock",
+          suite.a4_lockfree.mean_ns < suite.a4_locked.mean_ns)
+
+    # forward scalability: local and per-chip flat, global keeps growing
+    pts = res["scalability"].points
+    locals_ = [p.local_ns for p in pts]
+    chips = [p.chip_ns for p in pts]
+    check("scalability: sweeps 8, 16, 32, 64 cores",
+          [p.ncores for p in pts] == [8, 16, 32, 64])
+    check("scalability: per-core cost flat (max < 1.3x min)",
+          max(locals_) < 1.3 * min(locals_))
+    check("scalability: 4-wide chips match (< 0.3x)",
+          abs(chips[0] - chips[1]) < 0.3 * chips[0])
+    check("scalability: 8-wide chips match (< 0.3x)",
+          abs(chips[2] - chips[3]) < 0.3 * chips[2])
+    for p in pts:
+        check(f"scalability: {p.ncores}-core chip < 0.5x global",
+              p.chip_ns < 0.5 * p.global_ns)
+    check("scalability: 64-core global > 2.5x 8-core global",
+          pts[-1].global_ns > 2.5 * pts[0].global_ns)
+    check("scalability: global blow-up grows",
+          pts[-1].global_blowup > pts[0].global_blowup)
+    for a, b in zip(pts, pts[1:]):
+        check(f"scalability: global at {b.ncores} cores > 0.9x at {a.ncores}",
+              b.global_ns > 0.9 * a.global_ns)
+
+    # bandwidth grows with size towards the ConnectX wire rate
+    wire = IB_CONNECTX.bytes_per_us  # B/us == MB/s
+    for s in res["bandwidth"]:
+        rates = [p.mb_per_s for p in s.points]
+        check(f"bandwidth {s.impl}: never drops below 0.8x the previous size",
+              all(b > 0.8 * a for a, b in zip(rates, rates[1:])))
+        check(f"bandwidth {s.impl}: largest size > 0.75x wire",
+              rates[-1] > 0.75 * wire)
+        check(f"bandwidth {s.impl}: largest size < 1.05x wire",
+              rates[-1] < 1.05 * wire)
+        check(f"bandwidth {s.impl}: smallest size < 0.8x wire",
+              rates[0] < 0.8 * wire)
+        check(f"bandwidth {s.impl}: smallest size < largest",
+              rates[0] < rates[-1])
+    return checks
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         description="Regenerate EXPERIMENTS.md (paper vs. measured)."
     )
@@ -90,6 +257,16 @@ def main(argv: list[str] | None = None) -> None:
     res = dict(
         zip([s.name for s in SPECS], run_jobs_strict(SPECS, jobs=args.jobs))
     )
+
+    checks = shape_checks(res)
+    failed = [name for name, holds in checks if not holds]
+    for name in failed:
+        print(f"shape check failed: {name}", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} of {len(checks)} shape checks failed; "
+              f"{OUT} not written", file=sys.stderr)
+        return 1
+    print(f"all {len(checks)} shape checks hold")
 
     buf = io.StringIO()
     w = buf.write
@@ -247,6 +424,7 @@ def main(argv: list[str] | None = None) -> None:
     with open(OUT, "w") as f:
         f.write(buf.getvalue())
     print(f"wrote {OUT} ({len(buf.getvalue())} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
